@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .net import loss_and_grad, predict
+from .net import forward, loss_and_grad, predict
 from .pipeline import PIPELINE_NAMES, Pipeline, make_pipeline  # noqa: F401
 from .project import GradPath, MappedImage, cloud_key
 
@@ -64,16 +64,20 @@ class FGSMResult:
 
 
 def fgsm(pipeline: Pipeline, cloud: PointCloud, label: int,
-         epsilon: float = 0.1, iterations: int = 1) -> FGSMResult:
+         epsilon: float = 0.1, iterations: int = 1,
+         image: MappedImage | None = None) -> FGSMResult:
     """x' = x + epsilon * sign(grad), one step by default. A blocked
     pipeline returns the input unchanged with the blocked flag set.
     iterations > 1 repeats the sign step, remapping in between; the extra
-    steps are exploratory, not part of the standard attack."""
+    steps are exploratory, not part of the standard attack. image, if
+    given, is the pipeline's map of cloud and saves the first step its
+    map; later steps map their perturbed clouds afresh."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     current = cloud
     for _ in range(iterations):
-        grad = input_point_gradient(pipeline, current, label)
+        grad = input_point_gradient(pipeline, current, label, image=image)
+        image = None
         if grad is BLOCKED_GRADIENT:
             return FGSMResult(cloud, True, 0.0)
         if epsilon != 0.0:
@@ -120,9 +124,11 @@ class AttackReport:
 
 def attack_suite(pipeline: Pipeline, testset: list,
                  epsilon: float = 0.1) -> AttackReport:
-    """Clean and attacked accuracy over the same samples. The attacked
-    cloud goes through the full mapping again (same mapper seed), so a
-    blocked pipeline reproduces its clean predictions bit for bit."""
+    """Clean and attacked accuracy over the same samples. Each clean cloud
+    is mapped once, and that image serves both the clean prediction and
+    the attack gradient. The attacked cloud goes through the full mapping
+    again (same mapper seed), so a blocked pipeline reproduces its clean
+    predictions bit for bit."""
     if not testset:
         raise ValueError("empty testset")
     outcomes = []
@@ -132,8 +138,11 @@ def attack_suite(pipeline: Pipeline, testset: list,
     for i, cloud in enumerate(testset):
         if cloud.label is None:
             raise ValueError(f"testset cloud {i} missing label")
-        clean_pred = predict(pipeline.net, pipeline, cloud)
-        result = fgsm(pipeline, cloud, cloud.label, epsilon=epsilon)
+        image = pipeline.map_image(cloud)
+        clean_logits = forward(pipeline.net, pipeline.net_input_from_image(image),
+                               downsample=pipeline.downsample)
+        clean_pred = int(np.argmax(clean_logits))
+        result = fgsm(pipeline, cloud, cloud.label, epsilon=epsilon, image=image)
         attacked_pred = predict(pipeline.net, pipeline, result.cloud)
         l2 = float(np.linalg.norm(result.cloud.points - cloud.points))
         clean_hits += clean_pred == cloud.label

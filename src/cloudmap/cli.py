@@ -19,6 +19,7 @@ import numpy as np
 from .attack import attack_suite
 from .cloud import (AugmentConfig, SYNTH_KINDS, load_off, normalize_unit,
                     read_xyz, sample_surface, synth_shape, write_xyz)
+from .graphdraw import check_cloud_size
 from .imagefile import write_pgm, write_ppm
 from .net import (TrainConfig, evaluate, load_checkpoint, save_checkpoint,
                   train, write_loss_history)
@@ -84,6 +85,8 @@ def validate_config(cfg: dict) -> None:
             raise ValueError("points must be >= 64")
     else:
         raise ValueError(f"unknown dataset type {ds['type']!r}")
+    if cfg["pipeline"] == "graphdraw":
+        check_cloud_size(ds.get("points", 1024))
     tr = cfg["train"]
     if tr["epochs"] < 1 or tr["batch_size"] < 1:
         raise ValueError("epochs and batch_size must be >= 1")
@@ -138,7 +141,8 @@ def cmd_dataset(cfg: dict) -> None:
                 files = sorted(f for f in os.listdir(os.path.join(ds["path"], kind))
                                if f.endswith(".off"))
                 n_test = max(1, int(round(frac * len(files)))) if len(files) > 1 else 0
-                chosen = files[-n_test:] if split == "test" else files[:len(files) - n_test]
+                cut = len(files) - n_test
+                chosen = files[cut:] if split == "test" else files[:cut]
                 for idx, fname in enumerate(chosen):
                     mesh = load_off(os.path.join(ds["path"], kind, fname))
                     cloud = sample_surface(mesh, ds.get("points", 1024),

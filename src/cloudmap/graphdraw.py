@@ -15,9 +15,6 @@ import numpy as np
 from .cloud import PointCloud
 from .project import GradPath, MappedImage, cloud_key
 
-MAX_CLOUD_POINTS = 8192
-
-
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph: vertex count plus canonical (u < v) edge pairs."""
@@ -34,13 +31,6 @@ class Graph:
             if e.max() >= self.n_vertices or e.min() < 0:
                 raise ValueError("edge index out of range")
         object.__setattr__(self, "edges", e)
-
-    def adjacency(self) -> list:
-        adj = [[] for _ in range(self.n_vertices)]
-        for u, v in self.edges:
-            adj[int(u)].append(int(v))
-            adj[int(v)].append(int(u))
-        return adj
 
 
 @dataclass
@@ -77,6 +67,24 @@ def _kmeanspp_init(pts: np.ndarray, k: int, rng) -> np.ndarray:
     return centers
 
 
+def cluster_cap(n: int, k: int, alpha: float) -> int:
+    """Largest cluster balanced_kmeans allows for n points in k clusters."""
+    return int(np.ceil(alpha * n / k))
+
+
+def check_cloud_size(n: int, k: int = 32, alpha: float = 1.2, grid: int = 16) -> None:
+    """Raise ValueError unless an n-point cloud fits map_graphdraw's grids:
+    k clusters on the top grid, and clusters at their cap on the
+    within-cluster grids. With the defaults that allows up to 6826 points."""
+    cells = grid * grid
+    if k > cells:
+        raise ValueError(f"{k} clusters do not fit a {grid}x{grid} grid")
+    cap = cluster_cap(n, k, alpha)
+    if cap > cells:
+        raise ValueError(f"graphdraw cannot map {n} points: clusters of up to {cap} "
+                         f"points do not fit the {cells} cells of a {grid}x{grid} grid")
+
+
 def balanced_kmeans(cloud: PointCloud, k: int = 32, alpha: float = 1.2,
                     seed: int = 0, max_iters: int = 50) -> ClusterHierarchy:
     """Lloyd iterations (kmeans++ init) followed by rebalancing.
@@ -105,7 +113,7 @@ def balanced_kmeans(cloud: PointCloud, k: int = 32, alpha: float = 1.2,
             if sel.any():
                 centers[i] = pts[sel].mean(0)
 
-    cap = int(np.ceil(alpha * n / k))
+    cap = cluster_cap(n, k, alpha)
     d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
     sizes = np.bincount(assign, minlength=k)
     while True:
@@ -205,7 +213,7 @@ def _bowyer_watson(pts: np.ndarray) -> list:
     return result
 
 
-def _edges_from_simplices(simplices: list, n_pairs: int) -> set:
+def _edges_from_simplices(simplices: list) -> set:
     edges = set()
     for vs in simplices:
         for a, b in itertools.combinations(vs, 2):
@@ -244,7 +252,7 @@ def _triangulate_nd(pts: np.ndarray) -> set:
             simplices = _bowyer_watson(work)
         except np.linalg.LinAlgError:
             continue
-        edges = _edges_from_simplices(simplices, m)
+        edges = _edges_from_simplices(simplices)
         covered = set(v for e in edges for v in e)
         if len(covered) == m and _connected(m, edges):
             return edges
@@ -330,44 +338,43 @@ def delaunay_oracle(points: np.ndarray) -> Graph:
 # ---------------------------------------------------------------------------
 # grid embedding
 
-def _nearest_free_cell(occ: np.ndarray, target: tuple, gs: int) -> tuple:
-    """First free cell by expanding Chebyshev rings around the rounded
-    target; the winner minimizes (squared distance to target, row, col).
-    Two extra rings are scanned past the first hit so ring order cannot
-    misrank true euclidean distance."""
-    tr, tc = target
-    r0 = min(max(int(round(tr)), 0), gs - 1)
-    c0 = min(max(int(round(tc)), 0), gs - 1)
-    best = None
-    found_at = None
-    for radius in range(2 * gs + 1):
-        if found_at is not None and radius > found_at + 2:
-            break
-        rlo, rhi = r0 - radius, r0 + radius
-        for r in range(max(rlo, 0), min(rhi, gs - 1) + 1):
-            if r == rlo or r == rhi:
-                cols = range(max(c0 - radius, 0), min(c0 + radius, gs - 1) + 1)
-            else:
-                cols = [c for c in (c0 - radius, c0 + radius) if 0 <= c < gs]
-            for c in cols:
-                if occ[r, c] >= 0:
-                    continue
-                key = ((r - tr) ** 2 + (c - tc) ** 2, r, c)
-                if best is None or key < best:
-                    best = key
-                    if found_at is None:
-                        found_at = radius
-        if found_at is None and best is not None:
-            found_at = radius
-    if best is None:
-        raise RuntimeError("no free cell available")
-    return best[1], best[2]
-
-
 def _edge_energy(cells: np.ndarray, edges: np.ndarray) -> int:
     if len(edges) == 0:
         return 0
     return int(np.abs(cells[edges[:, 0]] - cells[edges[:, 1]]).sum())
+
+
+def _cells(flat: np.ndarray, gs: int) -> np.ndarray:
+    """(row, col) pairs of flat cell indices."""
+    return np.stack(np.divmod(flat, gs), axis=1)
+
+
+def _initial_cells(targets: np.ndarray, order: np.ndarray, gs: int) -> np.ndarray:
+    """Snap each vertex, in the given order, to a free flat cell index.
+
+    Around the rounded, clamped target, the first Chebyshev ring holding a
+    free cell and the two rings past it are searched; the winner minimizes
+    (squared distance to the target, row, col). Rows and columns of the
+    free cells come in row-major order, so the first argmin breaks ties
+    exactly as that key does. This is a ring-limited search, not the
+    global nearest free cell: the two differ once the first hit lies five
+    or more rings out.
+    """
+    rows, cols = np.divmod(np.arange(gs * gs), gs)
+    free = np.ones(gs * gs, dtype=bool)
+    flat = np.zeros(len(targets), dtype=np.int64)
+    anchors = np.clip(np.rint(targets), 0, gs - 1).astype(np.int64)
+    for v in order:
+        tr, tc = targets[v]
+        idx = np.flatnonzero(free)
+        fr, fc = rows[idx], cols[idx]
+        ring = np.maximum(np.abs(fr - anchors[v, 0]), np.abs(fc - anchors[v, 1]))
+        d2 = (fr - tr) ** 2 + (fc - tc) ** 2
+        d2[ring > ring.min() + 2] = np.inf
+        f = idx[int(d2.argmin())]
+        free[f] = False
+        flat[v] = f
+    return flat
 
 
 def grid_embed(graph: Graph, positions: np.ndarray, grid_size: int = 16,
@@ -378,7 +385,13 @@ def grid_embed(graph: Graph, positions: np.ndarray, grid_size: int = 16,
     free cells in descending distance-from-centroid order, then improved by
     a local search over single-vertex moves and vertex swaps that only ever
     strictly reduces the total Manhattan edge length. The per-pass energies
-    are recorded in the returned embedding's energy_trace.
+    are recorded in the returned embedding's energy_trace. The layout is
+    deterministic; seed is accepted for call compatibility and unused.
+
+    The search keeps two integer tables up to date across moves:
+    G[f, w], the Manhattan distance from flat cell f to the cell of vertex
+    w, and GA = G @ A for the adjacency matrix A, so GA[f, u] is the total
+    edge length vertex u would have at cell f.
     """
     m = graph.n_vertices
     gs = grid_size
@@ -407,75 +420,80 @@ def grid_embed(graph: Graph, positions: np.ndarray, grid_size: int = 16,
             targets[:, out] = (proj[:, ax] - lo) / (hi - lo) * (gs - 1)
 
     radius = np.linalg.norm(ctr, axis=1)
-    order = sorted(range(m), key=lambda v: (-radius[v], v))
-    occ = np.full((gs, gs), -1, dtype=np.int64)
-    cells = np.zeros((m, 2), dtype=np.int64)
-    for v in order:
-        r, c = _nearest_free_cell(occ, (targets[v, 0], targets[v, 1]), gs)
-        occ[r, c] = v
-        cells[v] = (r, c)
+    order = np.argsort(-radius, kind="stable")
+    flat = _initial_cells(targets, order, gs)
 
     edges = graph.edges
-    adj = graph.adjacency()
-    trace = [_edge_energy(cells, edges)]
+    trace = [_edge_energy(_cells(flat, gs), edges)]
     if len(edges) == 0:
-        return GridEmbedding(gs, cells, trace)
+        return GridEmbedding(gs, _cells(flat, gs), trace)
 
+    rows, cols = np.divmod(np.arange(gs * gs), gs)
+    occ = np.full(gs * gs, -1, dtype=np.int64)
+    occ[flat] = np.arange(m)
+    G = np.abs(rows[:, None] - rows[flat]) + np.abs(cols[:, None] - cols[flat])
+    A = np.zeros((m, m), dtype=np.int64)
+    A[edges[:, 0], edges[:, 1]] = 1
+    A[edges[:, 1], edges[:, 0]] = 1
+    GA = G @ A
+    nbrs = [np.flatnonzero(A[u]) for u in range(m)]
+    vertices = np.arange(m)
+
+    def place(w, f):
+        """Put vertex w on flat cell f and carry the change into G and GA."""
+        flat[w] = f
+        occ[f] = w
+        col = np.abs(rows - rows[f]) + np.abs(cols - cols[f])
+        GA[:, nbrs[w]] += (col - G[:, w])[:, None]
+        G[:, w] = col
+
+    # caches, dropped on every change of layout: the free flat cells in
+    # row-major order, and GA[flat, vertices], every vertex's edge length
+    free = cur_v = None
     for _ in range(max_passes):
         improved = False
         for u in range(m):
-            nb = np.array(adj[u], dtype=np.int64)
+            nb = nbrs[u]
             if len(nb) == 0:
                 continue
-            nb_cells = cells[nb]
-            cur_u = int(np.abs(cells[u] - nb_cells).sum())
+            fu = flat[u]
+            cur_u = GA[fu, u]
 
-            free = np.argwhere(occ < 0)
+            if free is None:
+                free = np.flatnonzero(occ < 0)
             best_move = None
             if len(free):
-                cost = np.abs(free[:, None, :] - nb_cells[None, :, :]).sum((1, 2))
-                delta = cost - cur_u
-                k = int(np.lexsort((free[:, 1], free[:, 0], delta))[0])
-                if delta[k] < 0:
-                    best_move = (int(delta[k]), int(free[k, 0]), int(free[k, 1]))
+                cost = GA[free, u]
+                k = int(cost.argmin())
+                if cost[k] < cur_u:
+                    best_move = (int(cost[k] - cur_u), int(free[k]))
 
-            # swap deltas against every other vertex, vectorized
-            s1 = np.abs(cells[:, None, :] - nb_cells[None, :, :]).sum((1, 2))
-            per_v = np.abs(cells[edges[:, 0]] - cells[edges[:, 1]]).sum(1)
-            cost_at_u = np.zeros(m, dtype=np.int64)
-            du = np.abs(cells[u] - cells).sum(1)
-            np.add.at(cost_at_u, edges[:, 0], du[edges[:, 1]])
-            np.add.at(cost_at_u, edges[:, 1], du[edges[:, 0]])
-            cur_v = np.zeros(m, dtype=np.int64)
-            np.add.at(cur_v, edges[:, 0], per_v)
-            np.add.at(cur_v, edges[:, 1], per_v)
-            d_uv = du[nb]
-            s1w = s1.copy()
-            s1w[nb] += d_uv
-            cost_at_u_w = cost_at_u.copy()
-            cost_at_u_w[nb] += d_uv
-            swap_delta = (s1w - cur_u) + (cost_at_u_w - cur_v)
+            if cur_v is None:
+                cur_v = GA[flat, vertices]
+            swap_delta = (GA[flat, u] - cur_u) + (GA[fu] - cur_v)
+            # an edge u-v keeps its length when u and v swap cells, but
+            # both table reads above counted it at length 0
+            swap_delta[nb] += 2 * G[fu, nb]
             swap_delta[u] = 1
             v = int(swap_delta.argmin())
             best_swap = (int(swap_delta[v]), v) if swap_delta[v] < 0 else None
 
             if best_move is not None and (best_swap is None or best_move[0] <= best_swap[0]):
-                _, r, c = best_move
-                occ[cells[u, 0], cells[u, 1]] = -1
-                occ[r, c] = u
-                cells[u] = (r, c)
-                improved = True
+                occ[fu] = -1
+                place(u, best_move[1])
             elif best_swap is not None:
                 v = best_swap[1]
-                cu, cv = cells[u].copy(), cells[v].copy()
-                cells[u], cells[v] = cv, cu
-                occ[cv[0], cv[1]] = u
-                occ[cu[0], cu[1]] = v
-                improved = True
-        trace.append(_edge_energy(cells, edges))
+                fv = flat[v]
+                place(u, fv)
+                place(v, fu)
+            else:
+                continue
+            free = cur_v = None
+            improved = True
+        trace.append(_edge_energy(_cells(flat, gs), edges))
         if not improved:
             break
-    return GridEmbedding(gs, cells, trace)
+    return GridEmbedding(gs, _cells(flat, gs), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +552,7 @@ def draw_image(cloud: PointCloud, hierarchy: ClusterHierarchy,
 def map_graphdraw(cloud: PointCloud, k: int = 32, alpha: float = 1.2,
                   grid: int = 16, seed: int = 0, max_iters: int = 50) -> MappedImage:
     """Full pipeline: cluster, triangulate both levels, embed, draw."""
-    if cloud.n > MAX_CLOUD_POINTS:
-        raise ValueError(f"cloud exceeds {MAX_CLOUD_POINTS} points")
+    check_cloud_size(cloud.n, k=k, alpha=alpha, grid=grid)
     h = build_hierarchy(cloud, k=k, alpha=alpha, seed=seed, max_iters=max_iters)
     top_embed = grid_embed(h.top_edges, h.centers, grid_size=grid, seed=seed)
     within_embeds = []

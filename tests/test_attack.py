@@ -7,7 +7,8 @@ from cloudmap.attack import (BLOCKED_GRADIENT, AttackReport, asr,
                              attack_suite, fgsm, input_point_gradient,
                              make_pipeline)
 from cloudmap.cloud import PointCloud, synth_shape
-from cloudmap.net import loss_and_grad
+from cloudmap.net import loss_and_grad, predict
+from cloudmap.pipeline import Pipeline
 
 
 def labeled(points, label=0):
@@ -139,6 +140,26 @@ def test_fgsm_rejects_zero_iterations():
         fgsm(pipe, labeled(np.zeros((2, 3))), 0, iterations=0)
 
 
+def test_fgsm_with_image_equals_fgsm_without():
+    for name in ("leaky", "graphdraw"):
+        pipe = make_pipeline(name, 3, seed=0)
+        cloud = labeled(synth_shape("cone", 96, seed=9).points, label=2)
+        image = pipe.map_image(cloud)
+        for iterations in (1, 2):
+            a = fgsm(pipe, cloud, 2, epsilon=0.1, iterations=iterations, image=image)
+            b = fgsm(pipe, cloud, 2, epsilon=0.1, iterations=iterations)
+            assert np.array_equal(a.cloud.points, b.cloud.points), (name, iterations)
+            assert a.grad_norm == b.grad_norm and a.blocked == b.blocked
+
+
+def test_fgsm_rejects_stale_image():
+    pipe = make_pipeline("leaky", 3, seed=0)
+    cloud = labeled(synth_shape("cube", 64, seed=3).points)
+    image = pipe.map_image(cloud)
+    with pytest.raises(ValueError, match="stale leak_map"):
+        fgsm(pipe, labeled(cloud.points + 0.01), 0, image=image)
+
+
 def test_fgsm_pure_function():
     pipe = make_pipeline("leaky", 3, seed=0)
     cloud = labeled(synth_shape("cone", 64, seed=8).points)
@@ -200,6 +221,53 @@ def test_attack_suite_unlabeled_rejected():
     pipe = make_pipeline("basic", 3, seed=0)
     with pytest.raises(ValueError):
         attack_suite(pipe, [PointCloud(np.zeros((4, 3)))], epsilon=0.1)
+
+
+def test_attack_suite_maps_each_cloud_twice(monkeypatch):
+    calls = []
+    original = Pipeline.map_image
+
+    def spy(self, cloud):
+        calls.append(cloud)
+        return original(self, cloud)
+
+    monkeypatch.setattr(Pipeline, "map_image", spy)
+    data = small_testset(per=1)
+    for name in ("basic", "leaky", "graphdraw", "zbuffer"):
+        calls.clear()
+        attack_suite(make_pipeline(name, 3, seed=0), data, epsilon=0.1)
+        assert len(calls) == 2 * len(data), name
+        assert all(c is clean for c, clean in zip(calls[::2], data)), name
+
+
+def old_composition(pipe, testset, epsilon):
+    """The per-sample chain attack_suite stood for before it shared the
+    clean map: predict, fgsm, predict, each mapping on its own."""
+    outcomes = []
+    for i, cloud in enumerate(testset):
+        clean_pred = predict(pipe.net, pipe, cloud)
+        result = fgsm(pipe, cloud, cloud.label, epsilon=epsilon)
+        outcomes.append({"sample": i, "label": cloud.label, "clean_pred": clean_pred,
+                         "attacked_pred": predict(pipe.net, pipe, result.cloud),
+                         "perturbation_l2": float(np.linalg.norm(result.cloud.points
+                                                                 - cloud.points))})
+    return outcomes
+
+
+def test_attack_suite_equals_old_composition():
+    for name in ("leaky", "graphdraw"):
+        pipe = make_pipeline(name, 3, seed=1)
+        data = small_testset(per=2)
+        report = attack_suite(pipe, data, epsilon=0.1)
+        want = old_composition(pipe, data, 0.1)
+        assert report.outcomes == want, name
+        n = len(data)
+        assert report.clean_accuracy == 100.0 * sum(
+            o["clean_pred"] == o["label"] for o in want) / n
+        assert report.attacked_accuracy == 100.0 * sum(
+            o["attacked_pred"] == o["label"] for o in want) / n
+        assert report.mean_perturbation_l2 == float(np.mean(
+            [o["perturbation_l2"] for o in want]))
 
 
 def test_attack_suite_deterministic():

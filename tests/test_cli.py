@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -84,6 +85,26 @@ def test_validate_rejects_unknown_dataset_type():
     cfg["dataset"]["type"] = "parquet"
     with pytest.raises(ValueError):
         validate_config(cfg)
+
+
+def test_validate_rejects_graphdraw_cloud_over_grid_limit():
+    cfg = load_config(None, {"pipeline": "graphdraw"})
+    cfg["dataset"]["points"] = 6826
+    validate_config(cfg)
+    cfg["dataset"]["points"] = 7000
+    with pytest.raises(ValueError, match="cannot map 7000 points"):
+        validate_config(cfg)
+    cfg["pipeline"] = "leaky"
+    validate_config(cfg)  # the limit belongs to the graphdraw grids only
+
+
+def test_graphdraw_oversized_config_writes_nothing(tmp_path, capsys):
+    path = write_config(tmp_path, pipeline="graphdraw", dataset={"points": 7000})
+    out = tmp_path / "out"
+    rc = main(["dataset", "--config", path, "--out", str(out)])
+    assert rc == 1
+    assert "cannot map 7000 points" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_config_exits_nonzero(tmp_path, capsys):
@@ -222,3 +243,29 @@ def test_train_without_dataset_fails(tmp_path, capsys):
     rc = main(["train", "--config", path, "--out", str(tmp_path / "empty")])
     assert rc == 1
     assert "dataset command" in capsys.readouterr().err
+
+
+TET_OFF = "OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n3 0 1 3\n3 0 2 3\n3 1 2 3\n"
+
+
+def test_off_dir_single_mesh_class_stays_in_train(tmp_path, capsys):
+    meshes = {"a": 3, "b": 1}
+    for kind, count in meshes.items():
+        (tmp_path / "meshes" / kind).mkdir(parents=True)
+        for i in range(count):
+            (tmp_path / "meshes" / kind / f"m{i}.off").write_text(TET_OFF)
+    path = write_config(tmp_path, dataset={"type": "off_dir",
+                                           "path": str(tmp_path / "meshes"),
+                                           "points": 64})
+    out = str(tmp_path / "out")
+    assert main(["dataset", "--config", path, "--out", out]) == 0
+    capsys.readouterr()
+    rows = {}
+    for split in ("train", "test"):
+        with open(os.path.join(out, "dataset", split, "labels.csv"), newline="") as fh:
+            rows[split] = [row["kind"] for row in csv.DictReader(fh)]
+    # file names restart at 0 in each split, so mesh identity shows in the
+    # counts: every mesh lands in exactly one split
+    for kind, count in meshes.items():
+        assert rows["train"].count(kind) + rows["test"].count(kind) == count
+    assert rows["test"] == ["a"]

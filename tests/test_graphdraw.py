@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from cloudmap.cloud import PointCloud, synth_shape
+from cloudmap import graphdraw
+from cloudmap.cloud import SYNTH_KINDS, PointCloud, synth_shape
 from cloudmap.graphdraw import (ClusterHierarchy, Graph, GridEmbedding,
-                                balanced_kmeans, build_hierarchy, delaunay3,
-                                delaunay_oracle, draw_image, grid_embed,
-                                map_graphdraw, write_edge_list)
+                                balanced_kmeans, build_hierarchy,
+                                check_cloud_size, delaunay3, delaunay_oracle,
+                                draw_image, grid_embed, map_graphdraw,
+                                write_edge_list)
 from cloudmap.project import GradPath
+
+from grid_embed_oracle import grid_embed_oracle
 
 
 def edge_set(graph):
@@ -233,6 +237,49 @@ def test_grid_embed_deterministic():
     assert np.array_equal(a.cells, b.cells)
 
 
+def oracle_cases():
+    """(name, graph, positions, grid_size) for the equivalence test: the
+    top-level and within-cluster graphs of synthetic clouds of every kind,
+    plus small and degenerate graphs on 2x2, 4x4 and 16x16 grids."""
+    cases = []
+    for n in (256, 1024):
+        for ci, kind in enumerate(SYNTH_KINDS):
+            c = synth_shape(kind, n, seed=[61, n, ci])
+            h = build_hierarchy(c, seed=ci)
+            cases.append((f"{kind}{n} top", h.top_edges, h.centers, 16))
+            cases += [(f"{kind}{n} cluster {i}", g, c.points[mem], 16)
+                      for i, (g, mem) in enumerate(zip(h.within_edges, h.members))
+                      if len(mem)]
+    rng = np.random.default_rng(62)
+    empty = np.empty((0, 2), dtype=np.int64)
+    cases.append(("m=1", Graph(1, empty), rng.uniform(-1, 1, (1, 3)), 16))
+    cases.append(("no edges", Graph(12, empty), rng.uniform(-1, 1, (12, 3)), 16))
+    pos = rng.uniform(-1, 1, (20, 3))
+    cases.append(("isolated vertices", Graph(20, delaunay3(pos[:12]).edges), pos, 16))
+    cases.append(("collinear path", Graph(6, [[i, i + 1] for i in range(5)]),
+                  np.array([[i * 1.0, 0, 0] for i in range(6)]), 16))
+    cases.append(("coincident", Graph(5, [[0, 1], [1, 2], [3, 4]]), np.zeros((5, 3)), 4))
+    for gs in (2, 4):
+        for m in sorted({2, 3, gs * gs - 1, gs * gs}):
+            for s in range(3):
+                pos = np.random.default_rng([63, gs, m, s]).uniform(-1, 1, (m, 3))
+                g = delaunay3(pos) if m >= 2 else Graph(m, empty)
+                cases.append((f"gs={gs} m={m} seed={s}", g, pos, gs))
+    ring = Graph(64, [[i, (i + 1) % 64] for i in range(64)])
+    cases.append(("full 8x8 ring", ring, rng.uniform(-1, 1, (64, 3)), 8))
+    return cases
+
+
+def test_grid_embed_matches_frozen_oracle():
+    cases = oracle_cases()
+    assert len(cases) >= 200
+    for name, g, pos, gs in cases:
+        got = grid_embed(g, pos, grid_size=gs)
+        want = grid_embed_oracle(g, pos, grid_size=gs)
+        assert np.array_equal(got.cells, want.cells), name
+        assert got.energy_trace == want.energy_trace, name
+
+
 # ---------------------------------------------------------------------------
 # image composition
 
@@ -286,6 +333,25 @@ def test_map_graphdraw_rejects_oversized_cloud():
     cloud = PointCloud(np.zeros((8193, 3)))
     with pytest.raises(ValueError):
         map_graphdraw(cloud)
+
+
+def test_cloud_size_limit_follows_cluster_cap():
+    # ceil(1.2 * N / 32) <= 16 * 16 holds up to N = 6826
+    check_cloud_size(6826)
+    with pytest.raises(ValueError, match="6827 points: clusters of up to 257"):
+        check_cloud_size(6827)
+    with pytest.raises(ValueError):
+        check_cloud_size(100, k=17, grid=4)  # 17 clusters, 16 top cells
+
+
+def test_map_graphdraw_fails_before_clustering(monkeypatch):
+    calls = []
+    monkeypatch.setattr(graphdraw, "balanced_kmeans",
+                        lambda *a, **kw: calls.append(a))
+    cloud = PointCloud(np.random.default_rng(0).uniform(-1, 1, (7000, 3)))
+    with pytest.raises(ValueError, match="cannot map 7000 points"):
+        map_graphdraw(cloud)
+    assert calls == []
 
 
 def test_build_hierarchy_attaches_graphs():
