@@ -13,8 +13,8 @@ import numpy as np
 
 from .cloud import PointCloud
 from .net import forward, loss_and_grad, predict
-from .pipeline import PIPELINE_NAMES, Pipeline, make_pipeline  # noqa: F401
-from .project import GradPath, MappedImage, cloud_key
+from .pipeline import Pipeline
+from .project import GradPath, MappedImage, cloud_key, encode_slope
 
 
 class _BlockedMarker:
@@ -36,8 +36,8 @@ def input_point_gradient(pipeline: Pipeline, cloud: PointCloud, label: int,
     or BLOCKED_GRADIENT when the mapper quantizes coordinates away.
 
     Pixel and cell assignments are held fixed: only the intensity values
-    are differentiated, and each recorded link contributes with the 1/2
-    factor of the (t + 1) / 2 encode."""
+    are differentiated. Each link contributes the encode's slope times the
+    gradient of the net-input cell its pixel is sum-pooled into."""
     if image is None:
         image = pipeline.map_image(cloud)
     if image.grad_path is GradPath.BLOCKED:
@@ -49,10 +49,11 @@ def input_point_gradient(pipeline: Pipeline, cloud: PointCloud, label: int,
     x = pipeline.net_input_from_image(image)
     _, _, d_input = loss_and_grad(pipeline.net, x, label,
                                   downsample=pipeline.downsample)
+    f = image.height // d_input.shape[0]
+    rows, cols, pts, chans = image.leak_map.T
     grad = np.zeros_like(cloud.points)
-    links = image.leak_map
-    np.add.at(grad, (links[:, 2], links[:, 3]),
-              0.5 * pipeline.gain * d_input[links[:, 0], links[:, 1], links[:, 3]])
+    np.add.at(grad, (pts, chans), encode_slope(cloud.points[pts, chans])
+              * d_input[rows // f, cols // f, chans])
     return grad
 
 

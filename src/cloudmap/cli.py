@@ -14,8 +14,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .attack import attack_suite
 from .cloud import (AugmentConfig, SYNTH_KINDS, load_off, normalize_unit,
                     read_xyz, sample_surface, synth_shape, write_xyz)
@@ -30,7 +28,6 @@ DEFAULT_CONFIG = {
     "out": "runs/exp",
     "pipeline": "basic",
     "epsilon": 0.1,
-    "threads": 0,  # accepted for compatibility; execution is sequential
     "dataset": {
         "type": "synthetic",
         "classes": list(SYNTH_KINDS),
@@ -276,14 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--epsilon", type=float)
         p.add_argument("--epochs", type=int)
-        p.add_argument("--threads", type=int)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {"out": args.out, "pipeline": args.pipeline, "seed": args.seed,
-                 "epsilon": args.epsilon, "threads": args.threads}
+                 "epsilon": args.epsilon}
     try:
         cfg = load_config(args.config, overrides)
         if args.epochs is not None:

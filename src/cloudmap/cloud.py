@@ -6,7 +6,7 @@ All randomized operations take an explicit seed and are pure functions of
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cloud import PointCloud
-from .project import GradPath, MappedImage, cloud_key
+from .project import MappedImage, leaky_image
 
 @dataclass(frozen=True)
 class Graph:
@@ -522,31 +522,19 @@ def draw_image(cloud: PointCloud, hierarchy: ClusterHierarchy,
     k = hierarchy.k
     if len(within_embeds) != k or len(top_embed.cells) != k:
         raise ValueError("embedding does not match hierarchy")
-    gs_top = top_embed.grid_size
     if len(np.unique(top_embed.cells, axis=0)) != k:
         raise ValueError("top embedding not injective")
-    gs_in = within_embeds[0].grid_size if k else 16
-    size = gs_top * gs_in
-    data = np.zeros((size, size, 3), dtype=np.float64)
-    links = np.empty((cloud.n * 3, 4), dtype=np.int64)
-    li = 0
-    for i in range(k):
-        mem = hierarchy.members[i]
-        emb = within_embeds[i]
+    gs_in = within_embeds[0].grid_size
+    pixels = []
+    for i, (mem, emb) in enumerate(zip(hierarchy.members, within_embeds)):
         if len(emb.cells) != len(mem):
             raise ValueError(f"cluster {i}: embedding size mismatch")
         if len(mem) and len(np.unique(emb.cells, axis=0)) != len(mem):
             raise ValueError(f"cluster {i}: embedding not injective")
-        r, c = int(top_embed.cells[i, 0]), int(top_embed.cells[i, 1])
-        for j, pt in enumerate(mem):
-            u, v = int(emb.cells[j, 0]), int(emb.cells[j, 1])
-            rr, cc = gs_in * r + u, gs_in * c + v
-            data[rr, cc, :] = np.clip((cloud.points[pt] + 1.0) / 2.0, 0.0, 1.0)
-            for ch in range(3):
-                links[li] = (rr, cc, pt, ch)
-                li += 1
-    return MappedImage(data, GradPath.COORDINATE_LEAK, leak_map=links,
-                       source_key=cloud_key(cloud))
+        pixels.append(gs_in * top_embed.cells[i] + emb.cells)
+    rows, cols = np.concatenate(pixels).T
+    return leaky_image(cloud, top_embed.grid_size * gs_in, rows, cols,
+                       np.concatenate(hierarchy.members))
 
 
 def map_graphdraw(cloud: PointCloud, k: int = 32, alpha: float = 1.2,

@@ -7,7 +7,8 @@ graph-drawing image carry raw coordinates in their intensities
 (coordinate leak), which is exactly the surface the attack module probes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -17,49 +18,59 @@ from .net import TinyNet
 from .project import GradPath, MappedImage, basic_project, basic_project_leaky
 from .render import AdaINParams, ZBufferConfig, adain, positional_embedding, zbuffer
 
-PIPELINE_NAMES = ("basic", "leaky", "graphdraw", "zbuffer")
 
-_LEAKY_NAMES = ("leaky", "graphdraw")
+class Mapper(NamedTuple):
+    size: int
+    c_in: int  # channels of the net input
+    grad_path: GradPath
+    sparse: bool  # one lit pixel per point at most; a sum pool keeps inputs O(1)
+    map: Callable  # (pipeline, cloud) -> MappedImage
+
+
+# Each map call names its mapper as a module global when it runs, so a
+# wrapper installed on this module (a tracer, say) sees every call.
+MAPPERS = {
+    "basic": Mapper(456, 1, GradPath.BLOCKED, True,
+                    lambda p, cloud: basic_project(cloud, size=p.size)),
+    "leaky": Mapper(456, 3, GradPath.COORDINATE_LEAK, True,
+                    lambda p, cloud: basic_project_leaky(cloud, size=p.size)),
+    "graphdraw": Mapper(256, 3, GradPath.COORDINATE_LEAK, True,
+                        lambda p, cloud: map_graphdraw(cloud, seed=p.map_seed)),
+    "zbuffer": Mapper(313, 3, GradPath.BLOCKED, False,
+                      lambda p, cloud: zbuffer(cloud, p.zconfig)),
+}
+PIPELINE_NAMES = tuple(MAPPERS)
 
 
 @dataclass
 class Pipeline:
     name: str
     net: TinyNet
-    grad_path: GradPath
-    c_in: int
-    size: int
-    downsample: int
     map_seed: int = 0
-    gain: float = 1.0  # fixed input scale; ds^2 turns the entry mean into a sum
     zconfig: ZBufferConfig | None = None
     adain_params: AdaINParams | None = None
 
-    def __post_init__(self):
-        leaky = self.name in _LEAKY_NAMES
-        if leaky != (self.grad_path is GradPath.COORDINATE_LEAK):
-            raise ValueError(f"grad_path inconsistent with mapper {self.name!r}")
+    size = property(lambda self: MAPPERS[self.name].size)
+    c_in = property(lambda self: MAPPERS[self.name].c_in)
+    grad_path = property(lambda self: MAPPERS[self.name].grad_path)
+
+    @property
+    def downsample(self) -> int:
+        """Net entry average-pool factor; sparse images arrive sum-pooled."""
+        return 1 if MAPPERS[self.name].sparse else -(-self.size // 64)
 
     def map_image(self, cloud: PointCloud) -> MappedImage:
-        if self.name == "basic":
-            return basic_project(cloud, size=self.size)
-        if self.name == "leaky":
-            return basic_project_leaky(cloud, size=self.size)
-        if self.name == "graphdraw":
-            return map_graphdraw(cloud, seed=self.map_seed)
-        if self.name == "zbuffer":
-            return zbuffer(cloud, self.zconfig)
-        raise ValueError(f"unknown pipeline {self.name!r}")
+        return MAPPERS[self.name].map(self, cloud)
 
     def net_input_from_image(self, image: MappedImage) -> np.ndarray:
         x = image.data
-        if self.gain != 1.0:
-            x = x * self.gain
-        if self.name == "zbuffer":
-            h, w, _ = x.shape
-            x = np.concatenate([x, positional_embedding(h, w)], axis=2)
-            if self.adain_params is not None:
-                x, _ = adain(x, self.adain_params)
+        h, w, c = x.shape
+        if MAPPERS[self.name].sparse:
+            f = -(-self.size // 64)  # divides 456 and 256: every window is full
+            return x.reshape(h // f, f, w // f, f, c).sum(axis=(1, 3))
+        x = np.concatenate([x, positional_embedding(h, w)], axis=2)
+        if self.adain_params is not None:
+            x, _ = adain(x, self.adain_params)
         return x
 
     def net_input(self, cloud: PointCloud) -> np.ndarray:
@@ -69,25 +80,15 @@ class Pipeline:
 def make_pipeline(name: str, num_classes: int, seed: int = 0,
                   net: TinyNet | None = None, map_seed: int = 0,
                   adain_params: AdaINParams | None = None) -> Pipeline:
-    if name not in PIPELINE_NAMES:
+    if name not in MAPPERS:
         raise ValueError(f"unknown pipeline {name!r}, expected one of {PIPELINE_NAMES}")
-    sizes = {"basic": 456, "leaky": 456, "graphdraw": 256, "zbuffer": 313}
-    chans = {"basic": 1, "leaky": 3, "graphdraw": 3, "zbuffer": 3}
-    paths = {"basic": GradPath.BLOCKED, "leaky": GradPath.COORDINATE_LEAK,
-             "graphdraw": GradPath.COORDINATE_LEAK, "zbuffer": GradPath.BLOCKED}
-    size = sizes[name]
-    c_in = chans[name]
+    c_in = MAPPERS[name].c_in
     if net is None:
         net = TinyNet(c_in, num_classes, seed=seed)
     elif net.c_in != c_in:
         raise ValueError(f"net expects {net.c_in} channels, mapper provides {c_in}")
-    downsample = -(-size // 64)
     zconfig = ZBufferConfig() if name == "zbuffer" else None
-    # sparse dot images need the sum-pool gain to keep activations O(1);
-    # the dense depth image instead gets per-channel normalization
-    gain = 1.0 if name == "zbuffer" else float(downsample ** 2)
     if name == "zbuffer" and adain_params is None:
         adain_params = AdaINParams.identity(c_in)
-    return Pipeline(name=name, net=net, grad_path=paths[name], c_in=c_in,
-                    size=size, downsample=downsample, map_seed=map_seed,
-                    gain=gain, zconfig=zconfig, adain_params=adain_params)
+    return Pipeline(name=name, net=net, map_seed=map_seed, zconfig=zconfig,
+                    adain_params=adain_params)

@@ -84,6 +84,28 @@ def basic_project(cloud: PointCloud, size: int = 456) -> MappedImage:
     return MappedImage(data, GradPath.BLOCKED, source_key=cloud_key(cloud))
 
 
+def encode(t: np.ndarray) -> np.ndarray:
+    """Pixel intensity of coordinate t: clip((t + 1) / 2, 0, 1)."""
+    return np.clip((t + 1.0) / 2.0, 0.0, 1.0)
+
+
+def encode_slope(t: np.ndarray) -> np.ndarray:
+    """d encode / dt: 1/2 where |t| <= 1, 0 where the clip holds it."""
+    return np.where(np.abs(t) <= 1.0, 0.5, 0.0)
+
+
+def leaky_image(cloud: PointCloud, size: int, rows: np.ndarray, cols: np.ndarray,
+                pts: np.ndarray) -> MappedImage:
+    """size x size x 3 image that lights pixel (rows[j], cols[j]) with the
+    encoded point pts[j], linked on all channels; pixels must be distinct."""
+    data = np.zeros((size, size, 3), dtype=np.float64)
+    data[rows, cols] = encode(cloud.points[pts])
+    links = np.column_stack([np.repeat(rows, 3), np.repeat(cols, 3),
+                             np.repeat(pts, 3), np.tile(np.arange(3), len(pts))])
+    return MappedImage(data, GradPath.COORDINATE_LEAK, leak_map=links,
+                       source_key=cloud_key(cloud))
+
+
 def basic_project_leaky(cloud: PointCloud, size: int = 456) -> MappedImage:
     """Same occupancy geometry as basic_project, but each lit pixel's three
     channels hold the mapped point's coordinates encoded as (t + 1) / 2.
@@ -95,19 +117,10 @@ def basic_project_leaky(cloud: PointCloud, size: int = 456) -> MappedImage:
     if cloud.n < 1:
         raise ValueError("empty cloud")
     rows, cols = _pixel_coords(cloud.points, size)
-    data = np.zeros((size, size, 3), dtype=np.float64)
-    winner = {}
-    for i in range(cloud.n):
-        winner[(int(rows[i]), int(cols[i]))] = i
-    links = np.empty((len(winner) * 3, 4), dtype=np.int64)
-    k = 0
-    for (r, c), i in winner.items():
-        data[r, c, :] = np.clip((cloud.points[i] + 1.0) / 2.0, 0.0, 1.0)
-        for ch in range(3):
-            links[k] = (r, c, i, ch)
-            k += 1
-    return MappedImage(data, GradPath.COORDINATE_LEAK, leak_map=links,
-                       source_key=cloud_key(cloud))
+    # the first occurrence of a pixel in reversed order is its last writer
+    _, first = np.unique((rows * size + cols)[::-1], return_index=True)
+    winners = cloud.n - 1 - first
+    return leaky_image(cloud, size, rows[winners], cols[winners], winners)
 
 
 def remap_frozen(image: MappedImage, cloud: PointCloud) -> np.ndarray:
@@ -121,5 +134,5 @@ def remap_frozen(image: MappedImage, cloud: PointCloud) -> np.ndarray:
         raise ValueError("image has no leak_map")
     data = image.data.copy()
     rows, cols, pts, chans = image.leak_map.T
-    data[rows, cols, chans] = np.clip((cloud.points[pts, chans] + 1.0) / 2.0, 0.0, 1.0)
+    data[rows, cols, chans] = encode(cloud.points[pts, chans])
     return data

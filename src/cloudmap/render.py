@@ -10,7 +10,7 @@ from a scene-control vector; the backward pass is implemented by hand so
 the layer can sit inside the numpy training loop.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

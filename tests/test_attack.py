@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from cloudmap.attack import (BLOCKED_GRADIENT, AttackReport, asr,
-                             attack_suite, fgsm, input_point_gradient,
-                             make_pipeline)
+                             attack_suite, fgsm, input_point_gradient)
 from cloudmap.cloud import PointCloud, synth_shape
 from cloudmap.net import loss_and_grad, predict
-from cloudmap.pipeline import Pipeline
+from cloudmap.pipeline import Pipeline, make_pipeline
+from cloudmap.project import remap_frozen
 
 
 def labeled(points, label=0):
@@ -41,29 +41,32 @@ def test_single_point_gradient_is_half_net_gradient():
     image = pipe.map_image(cloud)
     x = pipe.net_input_from_image(image)
     _, _, d_input = loss_and_grad(pipe.net, x, 0, downsample=pipe.downsample)
+    # the net reads the sum-pooled image: a pixel's gradient is its cell's
+    f = image.height // d_input.shape[0]
+    assert f == 8
     r, c = image.leak_map[0, 0], image.leak_map[0, 1]
-    expected = 0.5 * pipe.gain * d_input[r, c, :]
+    expected = 0.5 * d_input[r // f, c // f, :]
     got = input_point_gradient(pipe, cloud, 0)
     assert got.shape == (1, 3)
     assert np.allclose(got[0], expected, atol=1e-15)
     assert np.any(got != 0.0)
 
 
+def frozen_loss(pipe, image, points, label):
+    """Loss with the leak_map's pixel assignment held fixed."""
+    data = remap_frozen(image, PointCloud(points))
+    x = pipe.net_input_from_image(
+        type(image)(data, image.grad_path, leak_map=image.leak_map,
+                    source_key=image.source_key))
+    loss, _, _ = loss_and_grad(pipe.net, x, label, downsample=pipe.downsample)
+    return loss
+
+
 def test_leak_gradient_matches_finite_differences():
-    from cloudmap.project import remap_frozen
     pipe = make_pipeline("leaky", 3, seed=0)
     cloud = labeled(synth_shape("sphere", 64, seed=1).points, label=1)
     image = pipe.map_image(cloud)
     grad = input_point_gradient(pipe, cloud, 1, image=image)
-
-    def frozen_loss(pts):
-        data = remap_frozen(image, PointCloud(pts))
-        x = pipe.net_input_from_image(
-            type(image)(data, image.grad_path, leak_map=image.leak_map,
-                        source_key=image.source_key))
-        loss, _, _ = loss_and_grad(pipe.net, x, 1, downsample=pipe.downsample)
-        return loss
-
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(8):
@@ -71,13 +74,32 @@ def test_leak_gradient_matches_finite_differences():
         eps = 1e-6
         pts = cloud.points.copy()
         pts[i, j] += eps
-        lp = frozen_loss(pts)
+        lp = frozen_loss(pipe, image, pts, 1)
         pts[i, j] -= 2 * eps
-        lm = frozen_loss(pts)
+        lm = frozen_loss(pipe, image, pts, 1)
         fd = (lp - lm) / (2 * eps)
         denom = max(abs(fd), abs(grad[i, j]), 1e-8)
         worst = max(worst, abs(fd - grad[i, j]) / denom)
     assert worst < 1e-3
+
+
+def test_leak_gradient_is_zero_where_encode_clips():
+    # z = 1.4 encodes to clip(1.2, 0, 1) = 1: the loss cannot see small moves
+    pipe = make_pipeline("leaky", 5, seed=0)
+    points = synth_shape("sphere", 1024, seed=[0, 1, 0, 0]).points.copy()
+    points[0, 2] = 1.4
+    cloud = labeled(points, label=0)
+    image = pipe.map_image(cloud)
+    assert 0 in image.leak_map[:, 2]
+    grad = input_point_gradient(pipe, cloud, 0, image=image)
+    eps = 1e-6
+    plus, minus = points.copy(), points.copy()
+    plus[0, 2] += eps
+    minus[0, 2] -= eps
+    fd = (frozen_loss(pipe, image, plus, 0) - frozen_loss(pipe, image, minus, 0)) / (2 * eps)
+    assert fd == 0.0
+    assert grad[0, 2] == 0.0
+    assert np.all(grad[0, :2] != 0.0)  # the unclipped coordinates still leak
 
 
 def test_stale_leak_map_rejected():

@@ -295,6 +295,35 @@ def test_draw_image_single_point_at_origin():
     assert np.allclose(img.data[50, 87], [0.5, 0.5, 0.5])
 
 
+def draw_image_loop_oracle(cloud, h, top, within):
+    """Per-point reference for draw_image."""
+    gs = within[0].grid_size
+    size = top.grid_size * gs
+    data = np.zeros((size, size, 3))
+    links = []
+    for i, mem in enumerate(h.members):
+        r, c = top.cells[i]
+        for j, pt in enumerate(mem):
+            rr, cc = gs * r + within[i].cells[j, 0], gs * c + within[i].cells[j, 1]
+            data[rr, cc, :] = np.clip((cloud.points[pt] + 1.0) / 2.0, 0.0, 1.0)
+            links.extend((rr, cc, pt, ch) for ch in range(3))
+    return data, np.array(links)
+
+
+def test_draw_image_matches_loop_oracle():
+    rng = np.random.default_rng(11)
+    cloud = PointCloud(rng.uniform(-1.5, 1.5, (60, 3)))  # some coordinates clip
+    members = np.array_split(rng.permutation(60), [0, 25, 25, 40])[1:]  # one empty
+    h = ClusterHierarchy(centers=np.zeros((4, 3)), members=members, k=4)
+    top = GridEmbedding(16, np.array([[3, 5], [0, 0], [15, 2], [7, 7]]))
+    within = [GridEmbedding(16, np.stack(np.unravel_index(
+        rng.choice(256, len(m), replace=False), (16, 16)), axis=1)) for m in members]
+    img = draw_image(cloud, h, top, within)
+    data, links = draw_image_loop_oracle(cloud, h, top, within)
+    assert np.array_equal(img.data, data)
+    assert np.array_equal(img.leak_map, links)
+
+
 def test_draw_image_rejects_mismatched_embedding():
     cloud = PointCloud(np.zeros((1, 3)))
     h = ClusterHierarchy(centers=np.zeros((1, 3)), members=[np.array([0])], k=1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cloudmap.cloud import PointCloud, synth_shape
+from cloudmap.cloud import SYNTH_KINDS, AugmentConfig, PointCloud, augment, synth_shape
 from cloudmap.project import (GradPath, MappedImage, basic_project,
                               basic_project_leaky, cloud_key, remap_frozen)
 
@@ -79,6 +79,39 @@ def test_leaky_collision_last_writer_wins():
     assert set(img.leak_map[:, 2].tolist()) == {1}
     r, colv = img.leak_map[0, 0], img.leak_map[0, 1]
     assert img.data[r, colv, 2] == pytest.approx((0.9 + 1) / 2)
+
+
+def leaky_loop_oracle(cloud, size):
+    """Per-point reference for basic_project_leaky: a dict keyed by pixel
+    keeps each pixel's last point."""
+    rows = np.floor((1.0 - cloud.points[:, 1]) / 2.0 * size).astype(np.int64)
+    cols = np.floor((cloud.points[:, 0] + 1.0) / 2.0 * size).astype(np.int64)
+    winner = {}
+    for i in range(cloud.n):
+        r, c = int(rows[i]), int(cols[i])
+        if not (0 <= r < size and 0 <= c < size):
+            r, c = 0, 0
+        winner[(r, c)] = i
+    data = np.zeros((size, size, 3))
+    links = set()
+    for (r, c), i in winner.items():
+        data[r, c, :] = np.clip((cloud.points[i] + 1.0) / 2.0, 0.0, 1.0)
+        links.update((r, c, i, ch) for ch in range(3))
+    return data, links
+
+
+def test_leaky_matches_loop_oracle():
+    clouds = [synth_shape(kind, 256, seed=[1, ci]) for ci, kind in enumerate(SYNTH_KINDS)]
+    clouds += [augment(c, AugmentConfig(seed=i)) for i, c in enumerate(clouds)]
+    clouds.append(cloud_of(1.3 * clouds[0].points))  # many points out of frame
+    assert any(np.abs(c.points[:, :2]).max() >= 1.0 for c in clouds)
+    for size in (456, 32):  # 32 pixels: many collisions
+        for c in clouds:
+            img = basic_project_leaky(c, size=size)
+            data, links = leaky_loop_oracle(c, size)
+            assert np.array_equal(img.data, data)
+            assert len(img.leak_map) == len(links)
+            assert set(map(tuple, img.leak_map.tolist())) == links
 
 
 def test_leaky_leak_map_covers_lit_pixels():
