@@ -3,8 +3,10 @@ triangulation at two levels, and a hierarchical grid embedding that writes
 point coordinates into a (grid*grid) x (grid*grid) 3-channel image.
 
 The Delaunay edge sets are built by incremental Bowyer-Watson insertion
-(3D tetrahedra, with 2D/1D fallbacks for flat or collinear inputs); a
-brute-force circumsphere enumeration serves as the independent test oracle.
+(3D tetrahedra, with 2D/1D fallbacks for flat or collinear inputs), run in
+lockstep over all point sets of a map; a brute-force circumsphere
+enumeration serves as the independent test oracle and as the fallback for
+small sets the insertion cannot triangulate.
 """
 
 import itertools
@@ -141,6 +143,7 @@ def balanced_kmeans(cloud: PointCloud, k: int = 32, alpha: float = 1.2,
 # Delaunay triangulation (Bowyer-Watson) and its brute-force oracle
 
 _STRICT = 1.0 - 1e-12  # circumsphere containment margin
+ORACLE_MAX_POINTS = 40  # largest set the brute-force oracle takes
 
 
 def _circumspheres(tets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,103 +163,198 @@ def _circumspheres(tets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return centers, r2
 
 
-def _bowyer_watson(pts: np.ndarray) -> list:
-    """Incremental insertion in d dimensions (d = pts.shape[1], 2 or 3).
-    Returns simplices as tuples of input indices."""
-    m, d = pts.shape
+def _super_simplex(pts: np.ndarray) -> np.ndarray:
+    """Vertices of the simplex, 1000 spans wide, that Bowyer-Watson starts
+    from for a (M, d) point set, d = 2 or 3."""
     lo, hi = pts.min(0), pts.max(0)
     span = float((hi - lo).max()) or 1.0
     mid = (lo + hi) / 2.0
     scale = 1000.0 * span
-    if d == 3:
-        super_pts = mid + scale * np.array(
+    if pts.shape[1] == 3:
+        return mid + scale * np.array(
             [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
-    else:
-        super_pts = mid + scale * np.array([[0.0, 2.0], [-2.0, -1.5], [2.0, -1.5]])
-    allp = np.vstack([super_pts, pts])
-    ns = len(super_pts)
-
-    verts = [tuple(range(ns))]
-    centers, r2 = _circumspheres(allp[np.array(verts)])
-    centers, r2 = list(centers), list(r2)
-
-    for ip in range(ns, ns + m):
-        p = allp[ip]
-        carr = np.asarray(centers)
-        rarr = np.asarray(r2)
-        dist2 = ((carr - p) ** 2).sum(-1)
-        bad = np.flatnonzero(dist2 < rarr * _STRICT)
-        if len(bad) == 0:
-            # numerical tie everywhere: fall back to the nearest circumsphere
-            bad = np.array([int(np.argmin(dist2 - rarr))])
-        face_count = {}
-        for t in bad:
-            vs = verts[t]
-            for skip in range(d + 1):
-                face = tuple(sorted(vs[:skip] + vs[skip + 1:]))
-                face_count[face] = face_count.get(face, 0) + 1
-        boundary = [f for f, cnt in face_count.items() if cnt == 1]
-        keep = sorted(set(range(len(verts))) - set(int(b) for b in bad))
-        verts = [verts[t] for t in keep]
-        centers = [centers[t] for t in keep]
-        r2 = [r2[t] for t in keep]
-        new_verts = [tuple(sorted(f + (ip,))) for f in boundary]
-        nc, nr = _circumspheres(allp[np.array(new_verts)])
-        verts.extend(new_verts)
-        centers.extend(nc)
-        r2.extend(nr)
-
-    result = []
-    for vs in verts:
-        if min(vs) >= ns:
-            result.append(tuple(v - ns for v in vs))
-    return result
+    return mid + scale * np.array([[0.0, 2.0], [-2.0, -1.5], [2.0, -1.5]])
 
 
-def _edges_from_simplices(simplices: list) -> set:
-    edges = set()
-    for vs in simplices:
-        for a, b in itertools.combinations(vs, 2):
-            edges.add((a, b) if a < b else (b, a))
-    return edges
+def _grown(a: np.ndarray, n: int, fill) -> np.ndarray:
+    out = np.full((n,) + a.shape[1:], fill, dtype=a.dtype)
+    out[:len(a)] = a
+    return out
 
 
-def _connected(n: int, edges: set) -> bool:
-    if n <= 1:
-        return True
-    parent = list(range(n))
+def _bowyer_watson_many(point_sets: list) -> list:
+    """Incremental insertion in lockstep over point sets of one dimension d
+    (2 or 3): step s inserts point s of every set that still has one.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    The simplices of all sets live in flat slot arrays: sorted vertex
+    indices into the stacked coordinates (each set's super simplex, then
+    its points), the owning set, circumcentre and squared radius, a live
+    flag and a creation stamp. Dead and unused slots have r2 = -inf, so no
+    point falls inside them; the free slots are reused first. A step finds
+    every live simplex whose circumsphere contains its set's point, and
+    the faces that occur once among them bound the cavity. Stamps order
+    each set's simplices as a list would: survivors first, then the new
+    ones in the order their faces are met. Returns each set's simplices
+    as a (T, d+1) array of indices into that set.
+    """
+    d = point_sets[0].shape[1]
+    ns = d + 1
+    n_sets = len(point_sets)
+    sizes = np.array([len(p) for p in point_sets])
+    base = np.concatenate([[0], np.cumsum(sizes + ns)[:-1]])  # each set's first row
+    coords = np.vstack([np.vstack([_super_simplex(p), p]) for p in point_sets])
+    n_all = len(coords)
+    face_cols = np.array([[j for j in range(ns) if j != k] for k in range(ns)])
 
-    for a, b in edges:
-        parent[find(a)] = find(b)
-    root = find(0)
-    return all(find(v) == root for v in range(n))
+    cap = 4 * n_all  # 3-D maps peak at about 5.4 slots per row, so they grow once
+    verts = np.zeros((cap, ns), dtype=np.int64)
+    owner = np.zeros(cap, dtype=np.int64)
+    centers = np.zeros((cap, d))
+    r2 = np.full(cap, -np.inf)
+    live = np.zeros(cap, dtype=bool)
+    stamp = np.zeros(cap, dtype=np.int64)
+    verts[:n_sets] = base[:, None] + np.arange(ns)
+    owner[:n_sets] = np.arange(n_sets)
+    centers[:n_sets], r2[:n_sets] = _circumspheres(coords[verts[:n_sets]])
+    live[:n_sets] = True
+    next_stamp = 1  # super simplices have stamp 0
+    top = n_sets  # slots at and past top were never used
+    free = np.arange(n_sets, cap)
+
+    for s in range(int(sizes.max())):
+        active = s < sizes
+        ip = base + ns + s  # the row each set inserts at this step
+        p = coords[np.where(active, ip, 0)]
+        o = owner[:top]
+        dist2 = ((centers[:top] - p[o]) ** 2).sum(-1)
+        bad = (dist2 < r2[:top] * _STRICT) & active[o]
+        for j in np.flatnonzero(active & (np.bincount(o[bad], minlength=n_sets) == 0)):
+            # numerical tie everywhere: fall back to the nearest
+            # circumsphere, the oldest simplex on a tie
+            cand = np.flatnonzero(live[:top] & (o == j))
+            cand = cand[np.argsort(stamp[cand])]
+            bad[cand[np.argmin(dist2[cand] - r2[cand])]] = True
+
+        b = np.flatnonzero(bad)
+        b = b[np.lexsort((stamp[b], o[b]))]
+        faces = verts[b][:, face_cols].reshape(-1, d)
+        keys = faces[:, 0]
+        for k in range(1, d):
+            keys = keys * n_all + faces[:, k]
+        _, first, count = np.unique(keys, return_index=True, return_counts=True)
+        pos = np.sort(first[count == 1])
+        new_owner = o[b[pos // ns]]
+        new_verts = np.concatenate([faces[pos], ip[new_owner][:, None]], axis=1)
+        new_centers, new_r2 = _circumspheres(coords[new_verts])
+
+        live[b] = False
+        r2[b] = -np.inf
+        free = np.concatenate([b, free])
+        n_new = len(pos)
+        if n_new > len(free):
+            new_cap = 2 * cap + n_new
+            verts, owner, stamp = (_grown(a, new_cap, 0) for a in (verts, owner, stamp))
+            centers = _grown(centers, new_cap, 0.0)
+            r2 = _grown(r2, new_cap, -np.inf)
+            live = _grown(live, new_cap, False)
+            free = np.concatenate([free, np.arange(cap, new_cap)])
+            cap = new_cap
+        slots, free = free[:n_new], free[n_new:]
+        verts[slots] = new_verts
+        owner[slots] = new_owner
+        centers[slots] = new_centers
+        r2[slots] = new_r2
+        live[slots] = True
+        stamp[slots] = next_stamp + np.arange(n_new)
+        next_stamp += n_new
+        top = max(top, int(slots.max()) + 1)
+
+    o = owner[:top]
+    keep = np.flatnonzero(live[:top] & (verts[:top, 0] >= base[o] + ns))
+    keep = keep[np.argsort(o[keep], kind="stable")]
+    local = verts[keep] - (base[o[keep]] + ns)[:, None]
+    return np.split(local, np.cumsum(np.bincount(o[keep], minlength=n_sets))[:-1])
 
 
-def _triangulate_nd(pts: np.ndarray) -> set:
-    """Bowyer-Watson with validation; jittered retries handle degenerate
-    (cospherical / cocircular) inputs deterministically."""
-    m = len(pts)
-    span = float((pts.max(0) - pts.min(0)).max()) or 1.0
+def _edges_from_simplices(simplices: np.ndarray, m: int) -> np.ndarray:
+    """Sorted unique (u < v) edges of a (T, d+1) array of sorted simplices
+    over m vertices."""
+    a, b = np.triu_indices(simplices.shape[1], 1)
+    keys = np.unique(simplices[:, a] * m + simplices[:, b])
+    return np.stack(np.divmod(keys, m), axis=1)
+
+
+def _connected_many(sizes: list, edge_sets: list) -> np.ndarray:
+    """For each graph (sizes[i] vertices, edge_sets[i] edges), whether it
+    is connected. Labels drop to the smallest vertex of each component by
+    min-propagation along edges with pointer jumping; a connected graph
+    keeps one vertex that is its own label."""
+    sizes = np.asarray(sizes)
+    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    a, b = np.concatenate([np.empty((0, 2), dtype=np.int64)]
+                          + [e + off for e, off in zip(edge_sets, offsets)]).T
+    label = np.arange(sizes.sum())
+    while True:
+        new = label.copy()
+        np.minimum.at(new, a, label[b])
+        np.minimum.at(new, b, label[a])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    roots = np.repeat(np.arange(len(sizes)), sizes)[label == np.arange(len(label))]
+    return np.bincount(roots, minlength=len(sizes)) == 1
+
+
+def _triangulate_many(point_sets: list) -> list:
+    """Edge arrays of validated Bowyer-Watson triangulations of point sets
+    of one dimension. A triangulation is valid when its edges connect all
+    its points. Sets that fail are retried together with jitter, which
+    handles degenerate (cospherical / cocircular) inputs deterministically.
+    A set that fails every attempt gets the brute-force oracle's edges if
+    it has at most ORACLE_MAX_POINTS points."""
+    out = [None] * len(point_sets)
+    pending = list(range(len(point_sets)))
     for attempt, eps in enumerate((0.0, 1e-9, 1e-7)):
-        work = pts
-        if eps > 0.0:
-            rng = np.random.default_rng([17, attempt])
-            work = pts + rng.uniform(-eps, eps, size=pts.shape) * span
+        if not pending:
+            break
+        work = []
+        for i in pending:
+            pts = point_sets[i]
+            if eps > 0.0:
+                span = float((pts.max(0) - pts.min(0)).max()) or 1.0
+                rng = np.random.default_rng([17, attempt])
+                pts = pts + rng.uniform(-eps, eps, size=pts.shape) * span
+            work.append(pts)
         try:
-            simplices = _bowyer_watson(work)
+            results = _bowyer_watson_many(work)
         except np.linalg.LinAlgError:
-            continue
-        edges = _edges_from_simplices(simplices)
-        covered = set(v for e in edges for v in e)
-        if len(covered) == m and _connected(m, edges):
-            return edges
-    raise RuntimeError(f"triangulation failed for {m} points after jitter retries")
+            # one set at a time, so that only the failing set moves on
+            results = []
+            for pts in work:
+                try:
+                    results.append(_bowyer_watson_many([pts])[0])
+                except np.linalg.LinAlgError:
+                    results.append(None)
+        ran = [(i, _edges_from_simplices(simplices, len(point_sets[i])))
+               for i, simplices in zip(pending, results) if simplices is not None]
+        ok = _connected_many([len(point_sets[i]) for i, _ in ran], [e for _, e in ran])
+        for (i, edges), good in zip(ran, ok):
+            if good:
+                out[i] = edges
+        pending = [i for i in pending if out[i] is None]
+    for i in pending:
+        m = len(point_sets[i])
+        if m > ORACLE_MAX_POINTS:
+            raise RuntimeError(f"triangulation failed for {m} points after jitter retries; "
+                               f"the brute-force fallback takes at most "
+                               f"{ORACLE_MAX_POINTS} points")
+        edges = _oracle_edges(point_sets[i])
+        if not _connected_many([m], [edges])[0]:
+            raise RuntimeError(f"triangulation failed for {m} points after jitter "
+                               f"retries and the brute-force fallback")
+        out[i] = edges
+    return out
 
 
 def _principal_frame(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -268,6 +366,50 @@ def _principal_frame(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return ctr, vt, rank
 
 
+def delaunay3_many(point_sets: list) -> list:
+    """delaunay3 of every (M, 3) point set. The triangulations of each
+    dimension (3-D sets and coplanar sets in their best-fit planes) run in
+    one lockstep Bowyer-Watson pass."""
+    prepared = []  # (m, rep, inverse, edges over unique points or None)
+    tasks = {2: [], 3: []}  # dimension -> [(set index, coordinates)]
+    for k, points in enumerate(point_sets):
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        m = len(pts)
+        if m < 2:
+            raise ValueError("need at least 2 points")
+        uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        nu = len(uniq)
+        rep = np.full(nu, m, dtype=np.int64)
+        np.minimum.at(rep, inverse, np.arange(m))
+
+        edges = None
+        if nu <= 3:
+            edges = np.array(list(itertools.combinations(range(nu), 2)),
+                             dtype=np.int64).reshape(-1, 2)
+        else:
+            ctr, vt, rank = _principal_frame(uniq)
+            if rank <= 1:
+                order = np.argsort(ctr @ vt[0], kind="stable")
+                edges = np.stack([order[:-1], order[1:]], axis=1)
+            else:
+                tasks[rank].append((k, uniq if rank == 3 else ctr @ vt[:2].T))
+        prepared.append([m, rep, inverse, edges])
+
+    for dim_tasks in tasks.values():
+        if dim_tasks:
+            ids, coords = zip(*dim_tasks)
+            for k, edges in zip(ids, _triangulate_many(list(coords))):
+                prepared[k][3] = edges
+
+    graphs = []
+    for m, rep, inverse, edges in prepared:
+        dup = np.flatnonzero(rep[inverse] != np.arange(m))  # reattach duplicates
+        pairs = np.concatenate([rep[edges], np.stack([rep[inverse[dup]], dup], axis=1)])
+        graphs.append(Graph(m, pairs))
+    return graphs
+
+
 def delaunay3(points: np.ndarray) -> Graph:
     """Edge set of the Delaunay tetrahedralization of an (M, 3) point set.
 
@@ -276,39 +418,22 @@ def delaunay3(points: np.ndarray) -> Graph:
     chain. Exact duplicate points are collapsed onto one representative each
     and reattached to it by an edge afterwards.
     """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    m = len(pts)
-    if m < 2:
-        raise ValueError("need at least 2 points")
+    return delaunay3_many([points])[0]
 
-    uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
-    nu = len(uniq)
-    rep = np.full(nu, m, dtype=np.int64)
-    np.minimum.at(rep, inverse, np.arange(m))
 
-    edges = set()
-    if nu == 2:
-        edges.add(tuple(sorted((int(rep[0]), int(rep[1])))))
-    elif nu == 3:
-        for a, b in itertools.combinations(range(3), 2):
-            edges.add(tuple(sorted((int(rep[a]), int(rep[b])))))
-    elif nu >= 4:
-        ctr, vt, rank = _principal_frame(uniq)
-        if rank <= 1:
-            order = np.argsort(ctr @ vt[0], kind="stable")
-            for a, b in zip(order[:-1], order[1:]):
-                edges.add(tuple(sorted((int(rep[a]), int(rep[b])))))
-        else:
-            coords = uniq if rank == 3 else ctr @ vt[:2].T
-            for a, b in _triangulate_nd(coords):
-                edges.add(tuple(sorted((int(rep[a]), int(rep[b])))))
-
-    for i in range(m):
-        r = int(rep[inverse[i]])
-        if r != i:
-            edges.add((min(r, i), max(r, i)))
-
-    return Graph(m, np.array(sorted(edges), dtype=np.int64).reshape(-1, 2))
+def _oracle_edges(pts: np.ndarray) -> np.ndarray:
+    """Brute-force Delaunay edges of an (M, d) point set: enumerate all
+    (d+1)-point subsets, keep simplices whose circumsphere strictly
+    contains no other point, union their edges."""
+    m, d = pts.shape
+    subsets = np.array(list(itertools.combinations(range(m), d + 1)), dtype=np.int64)
+    centers, r2 = _circumspheres(pts[subsets])
+    dist2 = ((pts[None, :, :] - centers[:, None, :]) ** 2).sum(-1)  # (T, M)
+    rows = np.arange(len(subsets))[:, None]
+    dist2[rows, subsets] = np.inf  # a simplex's own vertices sit on the sphere
+    finite = np.isfinite(r2)
+    empty = finite & ~(dist2 < r2[:, None] * _STRICT).any(1)
+    return _edges_from_simplices(subsets[empty], m)
 
 
 def delaunay_oracle(points: np.ndarray) -> Graph:
@@ -319,20 +444,9 @@ def delaunay_oracle(points: np.ndarray) -> Graph:
     m = len(pts)
     if m < 4:
         raise ValueError("oracle needs at least 4 points")
-    if m > 40:
-        raise ValueError("oracle limited to 40 points")
-    subsets = np.array(list(itertools.combinations(range(m), 4)), dtype=np.int64)
-    centers, r2 = _circumspheres(pts[subsets])
-    dist2 = ((pts[None, :, :] - centers[:, None, :]) ** 2).sum(-1)  # (T, M)
-    rows = np.arange(len(subsets))[:, None]
-    dist2[rows, subsets] = np.inf  # a tet's own vertices sit on the sphere
-    finite = np.isfinite(r2)
-    empty = finite & ~(dist2 < r2[:, None] * _STRICT).any(1)
-    edges = set()
-    for vs in subsets[empty]:
-        for a, b in itertools.combinations(vs.tolist(), 2):
-            edges.add((a, b) if a < b else (b, a))
-    return Graph(m, np.array(sorted(edges), dtype=np.int64).reshape(-1, 2))
+    if m > ORACLE_MAX_POINTS:
+        raise ValueError(f"oracle limited to {ORACLE_MAX_POINTS} points")
+    return Graph(m, _oracle_edges(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -501,15 +615,15 @@ def grid_embed(graph: Graph, positions: np.ndarray, grid_size: int = 16,
 
 def build_hierarchy(cloud: PointCloud, k: int = 32, alpha: float = 1.2,
                     seed: int = 0, max_iters: int = 50) -> ClusterHierarchy:
-    """Cluster the cloud and attach both Delaunay levels."""
+    """Cluster the cloud and attach both Delaunay levels, all triangulated
+    in one delaunay3_many call."""
     h = balanced_kmeans(cloud, k=k, alpha=alpha, seed=seed, max_iters=max_iters)
-    h.top_edges = delaunay3(h.centers)
-    h.within_edges = []
-    for mem in h.members:
-        if len(mem) >= 2:
-            h.within_edges.append(delaunay3(cloud.points[mem]))
-        else:
-            h.within_edges.append(Graph(len(mem), np.empty((0, 2), dtype=np.int64)))
+    graphs = iter(delaunay3_many(
+        [h.centers] + [cloud.points[mem] for mem in h.members if len(mem) >= 2]))
+    h.top_edges = next(graphs)
+    h.within_edges = [next(graphs) if len(mem) >= 2
+                      else Graph(len(mem), np.empty((0, 2), dtype=np.int64))
+                      for mem in h.members]
     return h
 
 

@@ -82,6 +82,8 @@ def make_pipeline(name: str, num_classes: int, seed: int = 0,
                   adain_params: AdaINParams | None = None) -> Pipeline:
     if name not in MAPPERS:
         raise ValueError(f"unknown pipeline {name!r}, expected one of {PIPELINE_NAMES}")
+    if adain_params is not None and name != "zbuffer":
+        raise ValueError(f"adain_params apply to the zbuffer mapper only, not {name!r}")
     c_in = MAPPERS[name].c_in
     if net is None:
         net = TinyNet(c_in, num_classes, seed=seed)

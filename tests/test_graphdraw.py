@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudmap import graphdraw
 from cloudmap.cloud import SYNTH_KINDS, PointCloud, synth_shape
 from cloudmap.graphdraw import (ClusterHierarchy, Graph, GridEmbedding,
                                 balanced_kmeans, build_hierarchy,
-                                check_cloud_size, delaunay3, delaunay_oracle,
-                                draw_image, grid_embed, map_graphdraw,
-                                write_edge_list)
+                                check_cloud_size, delaunay3, delaunay3_many,
+                                delaunay_oracle, draw_image, grid_embed,
+                                map_graphdraw, write_edge_list)
 from cloudmap.project import GradPath
 
+from bowyer_watson_oracle import bowyer_watson_oracle, delaunay3_oracle
 from grid_embed_oracle import grid_embed_oracle
 
 
@@ -152,6 +155,176 @@ def test_delaunay_cospherical_survives():
     g = delaunay3(pts)
     deg = np.bincount(g.edges.ravel(), minlength=30)
     assert np.all(deg >= 3)
+
+
+def map_point_sets(cloud, seed):
+    """The point sets build_hierarchy triangulates: the cluster centres,
+    then every cluster of at least 2 points."""
+    h = balanced_kmeans(cloud, seed=seed)
+    return [h.centers] + [cloud.points[mem] for mem in h.members if len(mem) >= 2]
+
+
+def retry_sets():
+    """Thin sets whose first two Bowyer-Watson attempts fail validation and
+    whose third, jittered by 1e-7 of the span, succeeds: a 3-D slab and a
+    coplanar strip."""
+    slab = np.random.default_rng([7, 177]).uniform(-1, 1, (30, 3))
+    slab[:, 2] *= 1.5e-5
+    strip = np.random.default_rng([7, 32]).uniform(-1, 1, (30, 3))
+    strip[:, 1] *= 5e-6
+    strip[:, 2] = 0.0
+    return [slab, strip]
+
+
+def degenerate_sets():
+    """Coplanar cube faces, collinear chains, duplicate points and the
+    cospherical set of test_delaunay_cospherical_survives."""
+    sets = []
+    cube = synth_shape("cube", 1024, seed=[70, 1]).points
+    for axis in range(3):
+        face = cube[cube[:, axis] == cube[:, axis].max()]
+        sets += [face[:25], face[:7]]
+    rng = np.random.default_rng(71)
+    direction = rng.normal(size=3)
+    sets.append(rng.normal(size=3) + rng.uniform(-1, 1, (9, 1)) * direction)
+    sets.append(np.array([[i * 1.0, i * 2.0, -i * 1.0] for i in (3, 0, 1, 4, 2)]))
+    general = rng.uniform(-1, 1, (12, 3))
+    sets.append(np.vstack([general, general[[0, 3, 3]]]))
+    sets.append(np.repeat(general[:2], 3, axis=0))
+    sphere = np.random.default_rng(4).normal(0, 1, (30, 3))
+    sets.append(sphere / np.linalg.norm(sphere, axis=1, keepdims=True))
+    return sets
+
+
+@pytest.mark.parametrize("n,seeds", [(256, (0, 1, 2)), (1024, (0, 1))])
+def test_delaunay_matches_frozen_copy_on_map_sets(n, seeds):
+    for ci, kind in enumerate(SYNTH_KINDS):
+        for s in seeds:
+            cloud = synth_shape(kind, n, seed=[s, 1, ci, 0])
+            h = build_hierarchy(cloud, seed=s)
+            sets = map_point_sets(cloud, s)
+            got = [h.top_edges] + [g for g in h.within_edges if g.n_vertices >= 2]
+            assert len(got) == len(sets)
+            for i, (pts, g) in enumerate(zip(sets, got)):
+                assert np.array_equal(g.edges, delaunay3_oracle(pts).edges), (kind, n, s, i)
+
+
+def test_delaunay_matches_frozen_copy_on_degenerate_sets():
+    sets = degenerate_sets() + retry_sets()
+    for i, (pts, g) in enumerate(zip(sets, delaunay3_many(sets))):
+        assert np.array_equal(g.edges, delaunay3_oracle(pts).edges), i
+        assert np.array_equal(g.edges, delaunay3(pts).edges), i
+
+
+def test_retry_sets_need_the_third_attempt(monkeypatch):
+    real = graphdraw._bowyer_watson_many
+    batches = []
+    monkeypatch.setattr(graphdraw, "_bowyer_watson_many",
+                        lambda sets: batches.append(len(sets)) or real(sets))
+    for pts in retry_sets():
+        attempts = []
+        want = delaunay3_oracle(pts, attempts)
+        batches.clear()
+        got = delaunay3(pts)
+        assert attempts == [0, 1, 2]
+        assert batches == [1, 1, 1]
+        assert np.array_equal(got.edges, want.edges)
+
+
+def test_lockstep_simplices_match_frozen_copy():
+    # Repeated points lie inside no circumsphere, so their insertion takes
+    # the nearest-circumsphere fallback; rounded coordinates make its
+    # candidates tie, which creation order has to break as the list did.
+    for d in (2, 3):
+        rng = np.random.default_rng([72, d])
+        sets = [rng.uniform(-1, 1, (int(rng.integers(d + 1, 40)), d)) for _ in range(12)]
+        sets.append(np.array(list(np.ndindex(*(3,) * d)), dtype=float))  # cospherical cells
+        for _ in range(12):
+            pts = np.round(2 * rng.uniform(-1, 1, (int(rng.integers(d + 1, 20)), d))) / 2
+            sets.append(np.vstack([pts, pts[rng.integers(0, len(pts), 4)]]))
+        for pts, simplices in zip(sets, graphdraw._bowyer_watson_many(sets)):
+            assert set(map(tuple, simplices.tolist())) == set(bowyer_watson_oracle(pts))
+
+
+def test_linalg_error_in_a_batch_retries_its_sets_one_at_a_time(monkeypatch):
+    rng = np.random.default_rng(73)
+    sets = [rng.uniform(-1, 1, (m, 3)) for m in (10, 14, 8)]
+    want = [delaunay3(pts) for pts in sets]
+    real = graphdraw._bowyer_watson_many
+    batches = []
+
+    def failing(work):
+        # the middle set fails once its unjittered coordinates arrive
+        batches.append(len(work))
+        if any(np.array_equal(w, np.unique(sets[1], axis=0)) for w in work):
+            raise np.linalg.LinAlgError("singular")
+        return real(work)
+
+    monkeypatch.setattr(graphdraw, "_bowyer_watson_many", failing)
+    got = delaunay3_many(sets)
+    assert batches == [3, 1, 1, 1, 1]  # batch, each set alone, the jittered retry
+    assert np.array_equal(got[0].edges, want[0].edges)
+    assert np.array_equal(got[2].edges, want[2].edges)
+    assert edge_set(got[1]) == edge_set(delaunay_oracle(sets[1]))
+
+
+def test_failed_small_set_falls_back_to_oracle(monkeypatch):
+    empty = lambda work: [np.empty((0, 4), dtype=np.int64) for _ in work]
+    monkeypatch.setattr(graphdraw, "_bowyer_watson_many", empty)
+    pts = np.random.default_rng(74).uniform(-1, 1, (12, 3))
+    assert np.array_equal(delaunay3(pts).edges, delaunay_oracle(pts).edges)
+    with pytest.raises(RuntimeError, match="41 points after jitter retries; "
+                                           "the brute-force fallback takes at most 40"):
+        delaunay3(np.random.default_rng(75).uniform(-1, 1, (41, 3)))
+
+
+@pytest.mark.parametrize("kind,n,seed,cluster", [("cylinder", 256, 51, 18),
+                                                 ("cube", 512, 57, 12)])
+def test_sliver_cluster_maps_through_oracle(kind, n, seed, cluster):
+    # the frozen copy finds no interior simplex for this cluster on any attempt
+    cloud = synth_shape(kind, n, seed=[seed, 1, SYNTH_KINDS.index(kind), 0])
+    h = build_hierarchy(cloud, seed=seed)
+    pts = cloud.points[h.members[cluster]]
+    with pytest.raises(RuntimeError, match="after jitter retries"):
+        delaunay3_oracle(pts)
+    assert np.array_equal(h.within_edges[cluster].edges, delaunay_oracle(pts).edges)
+    img = map_graphdraw(cloud, seed=seed)
+    assert int((img.data.sum(2) > 0).sum()) == n
+
+
+def point_set(kind, seed, m):
+    rng = np.random.default_rng(seed)
+    if kind == "pair":
+        return rng.uniform(-1, 1, (2, 3))
+    if kind == "triple":
+        return rng.uniform(-1, 1, (3, 3))
+    if kind == "collinear":
+        return rng.normal(size=3) + rng.uniform(-1, 1, (m, 1)) * rng.normal(size=3)
+    if kind == "coplanar":
+        a, b = np.linalg.qr(rng.normal(size=(3, 2)))[0].T
+        uv = rng.uniform(-1, 1, (m, 2))
+        return rng.normal(size=3) + uv[:, :1] * a + uv[:, 1:] * b
+    pts = rng.uniform(-1, 1, (m, 3))
+    if kind == "duplicate":
+        pts = np.vstack([pts, pts[rng.integers(0, m, 3)]])
+    return pts
+
+
+SET_KINDS = ("pair", "triple", "collinear", "coplanar", "duplicate", "general")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(SET_KINDS), st.integers(0, 2**32 - 1),
+                          st.integers(4, 30)), min_size=1, max_size=6))
+def test_batch_equals_one_set_at_a_time(specs):
+    sets = [point_set(*spec) for spec in specs]
+    alone = [delaunay3(pts) for pts in sets]
+    for batch, order in ((delaunay3_many(sets), alone),
+                         (delaunay3_many(sets[::-1]), alone[::-1])):
+        assert len(batch) == len(order)
+        for got, want in zip(batch, order):
+            assert got.n_vertices == want.n_vertices
+            assert np.array_equal(got.edges, want.edges)
 
 
 def test_oracle_rejects_big_inputs():

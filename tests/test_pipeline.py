@@ -4,6 +4,7 @@ import pytest
 from cloudmap.cloud import SYNTH_KINDS, AugmentConfig, PointCloud, augment, synth_shape
 from cloudmap.net import _avgpool_entry
 from cloudmap.pipeline import MAPPERS, PIPELINE_NAMES, make_pipeline
+from cloudmap.render import AdaINParams
 
 
 def entry_factor(size):
@@ -52,3 +53,11 @@ def test_sparse_input_is_the_old_scaled_average_pool():
             image = pipe.map_image(c)
             want, _ = _avgpool_entry(image.data * f ** 2, f)
             assert np.array_equal(pipe.net_input_from_image(image), want), name
+
+
+def test_adain_params_only_for_zbuffer():
+    params = AdaINParams.identity(3)
+    for name in ("basic", "leaky", "graphdraw"):
+        with pytest.raises(ValueError, match="zbuffer mapper only"):
+            make_pipeline(name, 5, adain_params=params)
+    assert make_pipeline("zbuffer", 5, adain_params=params).adain_params is params
