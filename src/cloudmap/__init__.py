@@ -4,13 +4,12 @@ FGSM harness that probes each mapping's gradient topology."""
 from .attack import (AttackReport, BLOCKED_GRADIENT, FGSMResult, asr,
                      attack_suite, fgsm, input_point_gradient)
 from .cloud import (AugmentConfig, Mesh, OffParseError, PointCloud,
-                    SYNTH_KINDS, augment, load_off, normalize_unit,
-                    read_manifest, read_xyz, sample_surface, synth_shape,
-                    write_manifest, write_xyz)
+                    SYNTH_KINDS, augment, load_off, normalize_unit, read_xyz,
+                    sample_surface, synth_shape, write_xyz)
 from .graphdraw import (ClusterHierarchy, Graph, GridEmbedding,
                         balanced_kmeans, build_hierarchy, delaunay3,
                         delaunay_oracle, draw_image, grid_embed,
-                        map_graphdraw, write_edge_list)
+                        map_graphdraw)
 from .imagefile import read_pgm, read_ppm, write_pgm, write_ppm
 from .net import (TinyNet, TrainConfig, adam_step, evaluate, forward,
                   load_checkpoint, loss_and_grad, lr_at, predict,

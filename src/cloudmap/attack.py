@@ -44,11 +44,8 @@ def input_point_gradient(pipeline: Pipeline, cloud: PointCloud, label: int,
         return BLOCKED_GRADIENT
     if image.source_key != cloud_key(cloud):
         raise ValueError("stale leak_map: cloud changed since it was mapped")
-    if pipeline.adain_params is not None:
-        raise ValueError("leak gradient with adain modulation is not supported")
     x = pipeline.net_input_from_image(image)
-    _, _, d_input = loss_and_grad(pipeline.net, x, label,
-                                  downsample=pipeline.downsample)
+    _, _, d_input = loss_and_grad(pipeline.net, x, label)
     f = image.height // d_input.shape[0]
     rows, cols, pts, chans = image.leak_map.T
     grad = np.zeros_like(cloud.points)
@@ -65,25 +62,16 @@ class FGSMResult:
 
 
 def fgsm(pipeline: Pipeline, cloud: PointCloud, label: int,
-         epsilon: float = 0.1, iterations: int = 1,
-         image: MappedImage | None = None) -> FGSMResult:
-    """x' = x + epsilon * sign(grad), one step by default. A blocked
-    pipeline returns the input unchanged with the blocked flag set.
-    iterations > 1 repeats the sign step, remapping in between; the extra
-    steps are exploratory, not part of the standard attack. image, if
-    given, is the pipeline's map of cloud and saves the first step its
-    map; later steps map their perturbed clouds afresh."""
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    current = cloud
-    for _ in range(iterations):
-        grad = input_point_gradient(pipeline, current, label, image=image)
-        image = None
-        if grad is BLOCKED_GRADIENT:
-            return FGSMResult(cloud, True, 0.0)
-        if epsilon != 0.0:
-            current = current.with_points(current.points + epsilon * np.sign(grad))
-    return FGSMResult(current, False, float(np.linalg.norm(grad)))
+         epsilon: float = 0.1, image: MappedImage | None = None) -> FGSMResult:
+    """x' = x + epsilon * sign(grad), one step. A blocked pipeline returns
+    the input unchanged with the blocked flag set. image, if given, is the
+    pipeline's map of cloud and saves mapping it again."""
+    grad = input_point_gradient(pipeline, cloud, label, image=image)
+    if grad is BLOCKED_GRADIENT:
+        return FGSMResult(cloud, True, 0.0)
+    if epsilon != 0.0:
+        cloud = cloud.with_points(cloud.points + epsilon * np.sign(grad))
+    return FGSMResult(cloud, False, float(np.linalg.norm(grad)))
 
 
 def asr(clean_accuracy: float, attacked_accuracy: float) -> float:
@@ -140,8 +128,7 @@ def attack_suite(pipeline: Pipeline, testset: list,
         if cloud.label is None:
             raise ValueError(f"testset cloud {i} missing label")
         image = pipeline.map_image(cloud)
-        clean_logits = forward(pipeline.net, pipeline.net_input_from_image(image),
-                               downsample=pipeline.downsample)
+        clean_logits = forward(pipeline.net, pipeline.net_input_from_image(image))
         clean_pred = int(np.argmax(clean_logits))
         result = fgsm(pipeline, cloud, cloud.label, epsilon=epsilon, image=image)
         attacked_pred = predict(pipeline.net, pipeline, result.cloud)

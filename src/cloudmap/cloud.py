@@ -5,7 +5,6 @@ All randomized operations take an explicit seed and are pure functions of
 (inputs, seed); arrays are treated as immutable after construction.
 """
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -341,15 +340,3 @@ def read_xyz(path, label: int | None = None) -> PointCloud:
     if pts.shape[1] != 3:
         raise ValueError(f"{path}: expected 3 columns, got {pts.shape[1]}")
     return PointCloud(pts, label)
-
-
-def write_manifest(entries: list, path) -> None:
-    """Dataset manifest: a JSON list of {kind, seed, n, label} records."""
-    with open(path, "w") as fh:
-        json.dump(entries, fh, indent=2)
-        fh.write("\n")
-
-
-def read_manifest(path) -> list:
-    with open(path) as fh:
-        return json.load(fh)

@@ -326,20 +326,10 @@ def _triangulate_many(point_sets: list) -> list:
                 rng = np.random.default_rng([17, attempt])
                 pts = pts + rng.uniform(-eps, eps, size=pts.shape) * span
             work.append(pts)
-        try:
-            results = _bowyer_watson_many(work)
-        except np.linalg.LinAlgError:
-            # one set at a time, so that only the failing set moves on
-            results = []
-            for pts in work:
-                try:
-                    results.append(_bowyer_watson_many([pts])[0])
-                except np.linalg.LinAlgError:
-                    results.append(None)
-        ran = [(i, _edges_from_simplices(simplices, len(point_sets[i])))
-               for i, simplices in zip(pending, results) if simplices is not None]
-        ok = _connected_many([len(point_sets[i]) for i, _ in ran], [e for _, e in ran])
-        for (i, edges), good in zip(ran, ok):
+        found = [_edges_from_simplices(simplices, len(point_sets[i]))
+                 for i, simplices in zip(pending, _bowyer_watson_many(work))]
+        ok = _connected_many([len(point_sets[i]) for i in pending], found)
+        for i, edges, good in zip(pending, found, ok):
             if good:
                 out[i] = edges
         pending = [i for i in pending if out[i] is None]
@@ -665,10 +655,3 @@ def map_graphdraw(cloud: PointCloud, k: int = 32, alpha: float = 1.2,
         within_embeds.append(
             grid_embed(h.within_edges[i], cloud.points[mem], grid_size=grid, seed=seed + i + 1))
     return draw_image(cloud, h, top_embed, within_embeds)
-
-
-def write_edge_list(graph: Graph, path) -> None:
-    """Debug dump, one "u v" pair per line."""
-    with open(path, "w") as fh:
-        for u, v in graph.edges:
-            fh.write(f"{u} {v}\n")

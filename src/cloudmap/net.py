@@ -3,7 +3,8 @@ backpropagation, Adam with decoupled weight decay, a step learning-rate
 schedule, a training loop over mapped point clouds, and accuracy metrics.
 
 Layout is channels-last (H, W, C); conv weights are (C_in, 3, 3, C_out).
-Images wider than 64 pixels are average-pooled down by an integer factor
+Pipelines hand the net inputs of at most 64x64 pixels. forward and
+loss_and_grad can also average-pool by an integer downsample factor
 before the first conv; the pooling is differentiable, so input gradients
 come back at the original resolution.
 """
@@ -163,7 +164,7 @@ def _forward_cached(net: TinyNet, x: np.ndarray, downsample: int):
 
 
 def forward(net: TinyNet, image, downsample: int = 1) -> np.ndarray:
-    x = np.asarray(getattr(image, "data", image), dtype=np.float64)
+    x = np.asarray(image, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != net.c_in:
         raise ValueError(f"expected (H, W, {net.c_in}) input, got {x.shape}")
     logits, _ = _forward_cached(net, x, downsample)
@@ -173,7 +174,7 @@ def forward(net: TinyNet, image, downsample: int = 1) -> np.ndarray:
 def loss_and_grad(net: TinyNet, image, label: int, downsample: int = 1):
     """Softmax cross-entropy plus gradients for every parameter and for
     the input image (at its original resolution)."""
-    x = np.asarray(getattr(image, "data", image), dtype=np.float64)
+    x = np.asarray(image, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != net.c_in:
         raise ValueError(f"expected (H, W, {net.c_in}) input, got {x.shape}")
     if not 0 <= label < net.num_classes:
@@ -267,8 +268,7 @@ def train(pipeline, dataset: list, cfg: TrainConfig):
                                   seed=int(np.random.default_rng(
                                       [cfg.seed, 77, epoch, int(si)]).integers(2 ** 31)))
                     x = pipeline.net_input(augment(cloud, aug))
-                loss, grads, _ = loss_and_grad(net, x, cloud.label,
-                                               downsample=pipeline.downsample)
+                loss, grads, _ = loss_and_grad(net, x, cloud.label)
                 if not np.isfinite(loss):
                     raise RuntimeError(f"loss diverged at epoch {epoch}")
                 losses.append(loss)
@@ -286,7 +286,7 @@ def train(pipeline, dataset: list, cfg: TrainConfig):
 
 
 def predict(net: TinyNet, pipeline, cloud) -> int:
-    logits = forward(net, pipeline.net_input(cloud), downsample=pipeline.downsample)
+    logits = forward(net, pipeline.net_input(cloud))
     return int(np.argmax(logits))
 
 

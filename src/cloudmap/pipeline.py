@@ -14,9 +14,12 @@ import numpy as np
 
 from .cloud import PointCloud
 from .graphdraw import map_graphdraw
-from .net import TinyNet
+from .net import TinyNet, _avgpool_entry
 from .project import GradPath, MappedImage, basic_project, basic_project_leaky
 from .render import AdaINParams, ZBufferConfig, adain, positional_embedding, zbuffer
+
+ZCONFIG = ZBufferConfig()
+ZBUFFER_ADAIN = AdaINParams.identity(3)  # image, row and column channels
 
 
 class Mapper(NamedTuple):
@@ -36,8 +39,8 @@ MAPPERS = {
                     lambda p, cloud: basic_project_leaky(cloud, size=p.size)),
     "graphdraw": Mapper(256, 3, GradPath.COORDINATE_LEAK, True,
                         lambda p, cloud: map_graphdraw(cloud, seed=p.map_seed)),
-    "zbuffer": Mapper(313, 3, GradPath.BLOCKED, False,
-                      lambda p, cloud: zbuffer(cloud, p.zconfig)),
+    "zbuffer": Mapper(ZCONFIG.size, 3, GradPath.BLOCKED, False,
+                      lambda p, cloud: zbuffer(cloud, ZCONFIG)),
 }
 PIPELINE_NAMES = tuple(MAPPERS)
 
@@ -47,50 +50,42 @@ class Pipeline:
     name: str
     net: TinyNet
     map_seed: int = 0
-    zconfig: ZBufferConfig | None = None
-    adain_params: AdaINParams | None = None
 
     size = property(lambda self: MAPPERS[self.name].size)
     c_in = property(lambda self: MAPPERS[self.name].c_in)
     grad_path = property(lambda self: MAPPERS[self.name].grad_path)
-
-    @property
-    def downsample(self) -> int:
-        """Net entry average-pool factor; sparse images arrive sum-pooled."""
-        return 1 if MAPPERS[self.name].sparse else -(-self.size // 64)
+    zconfig = property(lambda self: ZCONFIG if self.name == "zbuffer" else None)
+    # net inputs arrive pooled; the benchmark and criterion 7 still read this
+    downsample = property(lambda self: 1)
 
     def map_image(self, cloud: PointCloud) -> MappedImage:
         return MAPPERS[self.name].map(self, cloud)
 
     def net_input_from_image(self, image: MappedImage) -> np.ndarray:
+        """The array TinyNet reads, at most 64x64. Sparse images are
+        sum-pooled; zbuffer gets positional channels and identity AdaIN,
+        then an average pool by 5."""
         x = image.data
         h, w, c = x.shape
+        f = -(-self.size // 64)
         if MAPPERS[self.name].sparse:
-            f = -(-self.size // 64)  # divides 456 and 256: every window is full
+            # f divides 456 and 256: every window is full
             return x.reshape(h // f, f, w // f, f, c).sum(axis=(1, 3))
         x = np.concatenate([x, positional_embedding(h, w)], axis=2)
-        if self.adain_params is not None:
-            x, _ = adain(x, self.adain_params)
-        return x
+        x, _ = adain(x, ZBUFFER_ADAIN)
+        return _avgpool_entry(x, f)[0]
 
     def net_input(self, cloud: PointCloud) -> np.ndarray:
         return self.net_input_from_image(self.map_image(cloud))
 
 
 def make_pipeline(name: str, num_classes: int, seed: int = 0,
-                  net: TinyNet | None = None, map_seed: int = 0,
-                  adain_params: AdaINParams | None = None) -> Pipeline:
+                  net: TinyNet | None = None, map_seed: int = 0) -> Pipeline:
     if name not in MAPPERS:
         raise ValueError(f"unknown pipeline {name!r}, expected one of {PIPELINE_NAMES}")
-    if adain_params is not None and name != "zbuffer":
-        raise ValueError(f"adain_params apply to the zbuffer mapper only, not {name!r}")
     c_in = MAPPERS[name].c_in
     if net is None:
         net = TinyNet(c_in, num_classes, seed=seed)
     elif net.c_in != c_in:
         raise ValueError(f"net expects {net.c_in} channels, mapper provides {c_in}")
-    zconfig = ZBufferConfig() if name == "zbuffer" else None
-    if name == "zbuffer" and adain_params is None:
-        adain_params = AdaINParams.identity(c_in)
-    return Pipeline(name=name, net=net, map_seed=map_seed, zconfig=zconfig,
-                    adain_params=adain_params)
+    return Pipeline(name=name, net=net, map_seed=map_seed)

@@ -3,8 +3,7 @@ import pytest
 
 from cloudmap.cloud import (AugmentConfig, Mesh, OffParseError, PointCloud,
                             SYNTH_KINDS, augment, load_off, normalize_unit,
-                            read_manifest, read_xyz, sample_surface,
-                            synth_shape, write_manifest, write_xyz)
+                            read_xyz, sample_surface, synth_shape, write_xyz)
 
 UNIT_TET = """OFF
 4 4 0
@@ -219,14 +218,6 @@ def test_xyz_roundtrip_exact(tmp_path):
     back = read_xyz(path, label=cloud.label)
     assert np.array_equal(back.points, cloud.points)
     assert back.label == cloud.label
-
-
-def test_manifest_roundtrip(tmp_path):
-    entries = [{"kind": "sphere", "seed": 1, "n": 128, "label": 0},
-               {"kind": "cube", "seed": 2, "n": 128, "label": 1}]
-    path = tmp_path / "manifest.json"
-    write_manifest(entries, path)
-    assert read_manifest(path) == entries
 
 
 def test_mesh_rejects_bad_face_index():

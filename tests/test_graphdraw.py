@@ -9,7 +9,7 @@ from cloudmap.graphdraw import (ClusterHierarchy, Graph, GridEmbedding,
                                 balanced_kmeans, build_hierarchy,
                                 check_cloud_size, delaunay3, delaunay3_many,
                                 delaunay_oracle, draw_image, grid_embed,
-                                map_graphdraw, write_edge_list)
+                                map_graphdraw)
 from cloudmap.project import GradPath
 
 from bowyer_watson_oracle import bowyer_watson_oracle, delaunay3_oracle
@@ -246,28 +246,6 @@ def test_lockstep_simplices_match_frozen_copy():
             assert set(map(tuple, simplices.tolist())) == set(bowyer_watson_oracle(pts))
 
 
-def test_linalg_error_in_a_batch_retries_its_sets_one_at_a_time(monkeypatch):
-    rng = np.random.default_rng(73)
-    sets = [rng.uniform(-1, 1, (m, 3)) for m in (10, 14, 8)]
-    want = [delaunay3(pts) for pts in sets]
-    real = graphdraw._bowyer_watson_many
-    batches = []
-
-    def failing(work):
-        # the middle set fails once its unjittered coordinates arrive
-        batches.append(len(work))
-        if any(np.array_equal(w, np.unique(sets[1], axis=0)) for w in work):
-            raise np.linalg.LinAlgError("singular")
-        return real(work)
-
-    monkeypatch.setattr(graphdraw, "_bowyer_watson_many", failing)
-    got = delaunay3_many(sets)
-    assert batches == [3, 1, 1, 1, 1]  # batch, each set alone, the jittered retry
-    assert np.array_equal(got[0].edges, want[0].edges)
-    assert np.array_equal(got[2].edges, want[2].edges)
-    assert edge_set(got[1]) == edge_set(delaunay_oracle(sets[1]))
-
-
 def test_failed_small_set_falls_back_to_oracle(monkeypatch):
     empty = lambda work: [np.empty((0, 4), dtype=np.int64) for _ in work]
     monkeypatch.setattr(graphdraw, "_bowyer_watson_many", empty)
@@ -335,13 +313,6 @@ def test_oracle_rejects_big_inputs():
 def test_oracle_tetrahedron():
     pts = np.array([[1.0, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
     assert len(delaunay_oracle(pts).edges) == 6
-
-
-def test_write_edge_list(tmp_path):
-    g = Graph(3, np.array([[0, 1], [1, 2]]))
-    path = tmp_path / "edges.txt"
-    write_edge_list(g, path)
-    assert path.read_text() == "0 1\n1 2\n"
 
 
 # ---------------------------------------------------------------------------

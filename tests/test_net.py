@@ -17,9 +17,8 @@ class ToySample:
 class ToyPipeline:
     """Feeds pre-rendered images straight to the net."""
 
-    def __init__(self, net, downsample=1):
+    def __init__(self, net):
         self.net = net
-        self.downsample = downsample
 
     def net_input(self, sample):
         return sample.image
