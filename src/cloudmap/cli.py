@@ -76,10 +76,14 @@ def validate_config(cfg: dict) -> None:
         if ds["points"] < 64:
             raise ValueError("points must be >= 64")
     elif ds["type"] == "off_dir":
+        if "path" not in ds:
+            raise ValueError("an off_dir dataset needs the key 'path'")
         if not os.path.isdir(ds["path"]):
             raise ValueError(f"OFF directory not found: {ds['path']}")
         if ds.get("points", 1024) < 64:
             raise ValueError("points must be >= 64")
+        if not 0 < ds.get("test_fraction", 0.2) < 1:
+            raise ValueError("test_fraction must lie strictly between 0 and 1")
     else:
         raise ValueError(f"unknown dataset type {ds['type']!r}")
     if cfg["pipeline"] == "graphdraw":

@@ -7,6 +7,11 @@ The Delaunay edge sets are built by incremental Bowyer-Watson insertion
 lockstep over all point sets of a map; a brute-force circumsphere
 enumeration serves as the independent test oracle and as the fallback for
 small sets the insertion cannot triangulate.
+
+The grid embedding of the cluster graph and of every within-cluster graph
+also runs in lockstep: one local search visits vertex u of every graph
+still improving at once, with per-row and per-column distance sums as its
+cost tables, and gives each graph the layout it would get alone.
 """
 
 import itertools
@@ -442,68 +447,13 @@ def delaunay_oracle(points: np.ndarray) -> Graph:
 # ---------------------------------------------------------------------------
 # grid embedding
 
-def _edge_energy(cells: np.ndarray, edges: np.ndarray) -> int:
-    if len(edges) == 0:
-        return 0
-    return int(np.abs(cells[edges[:, 0]] - cells[edges[:, 1]]).sum())
-
-
-def _cells(flat: np.ndarray, gs: int) -> np.ndarray:
-    """(row, col) pairs of flat cell indices."""
-    return np.stack(np.divmod(flat, gs), axis=1)
-
-
-def _initial_cells(targets: np.ndarray, order: np.ndarray, gs: int) -> np.ndarray:
-    """Snap each vertex, in the given order, to a free flat cell index.
-
-    Around the rounded, clamped target, the first Chebyshev ring holding a
-    free cell and the two rings past it are searched; the winner minimizes
-    (squared distance to the target, row, col). Rows and columns of the
-    free cells come in row-major order, so the first argmin breaks ties
-    exactly as that key does. This is a ring-limited search, not the
-    global nearest free cell: the two differ once the first hit lies five
-    or more rings out.
-    """
-    rows, cols = np.divmod(np.arange(gs * gs), gs)
-    free = np.ones(gs * gs, dtype=bool)
-    flat = np.zeros(len(targets), dtype=np.int64)
-    anchors = np.clip(np.rint(targets), 0, gs - 1).astype(np.int64)
-    for v in order:
-        tr, tc = targets[v]
-        idx = np.flatnonzero(free)
-        fr, fc = rows[idx], cols[idx]
-        ring = np.maximum(np.abs(fr - anchors[v, 0]), np.abs(fc - anchors[v, 1]))
-        d2 = (fr - tr) ** 2 + (fc - tc) ** 2
-        d2[ring > ring.min() + 2] = np.inf
-        f = idx[int(d2.argmin())]
-        free[f] = False
-        flat[v] = f
-    return flat
-
-
-def grid_embed(graph: Graph, positions: np.ndarray, grid_size: int = 16,
-               seed: int = 0, max_passes: int = 1000) -> GridEmbedding:
-    """Injective assignment of graph vertices to grid cells.
-
-    Vertices are projected onto their two principal components, snapped to
-    free cells in descending distance-from-centroid order, then improved by
-    a local search over single-vertex moves and vertex swaps that only ever
-    strictly reduces the total Manhattan edge length. The per-pass energies
-    are recorded in the returned embedding's energy_trace. The layout is
-    deterministic; seed is accepted for call compatibility and unused.
-
-    The search keeps two integer tables up to date across moves:
-    G[f, w], the Manhattan distance from flat cell f to the cell of vertex
-    w, and GA = G @ A for the adjacency matrix A, so GA[f, u] is the total
-    edge length vertex u would have at cell f.
-    """
-    m = graph.n_vertices
-    gs = grid_size
-    if m > gs * gs:
-        raise ValueError(f"{m} vertices do not fit a {gs}x{gs} grid")
-    pos = np.asarray(positions, dtype=np.float64).reshape(m, 3)
-
-    ctr = pos - pos.mean(0)
+def _snap_targets(positions: np.ndarray, gs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid targets (M, 2) of an (M, 3) vertex set and the order it snaps
+    in: the two principal components, sign-fixed and stretched over the
+    grid (PC1 across columns), visited by descending distance from the
+    centroid."""
+    m = len(positions)
+    ctr = positions - positions.mean(0)
     if m == 1:
         proj = np.zeros((1, 2))
     else:
@@ -522,82 +472,180 @@ def grid_embed(graph: Graph, positions: np.ndarray, grid_size: int = 16,
             targets[:, out] = (gs - 1) / 2.0
         else:
             targets[:, out] = (proj[:, ax] - lo) / (hi - lo) * (gs - 1)
-
     radius = np.linalg.norm(ctr, axis=1)
-    order = np.argsort(-radius, kind="stable")
-    flat = _initial_cells(targets, order, gs)
+    return targets, np.argsort(-radius, kind="stable")
 
-    edges = graph.edges
-    trace = [_edge_energy(_cells(flat, gs), edges)]
-    if len(edges) == 0:
-        return GridEmbedding(gs, _cells(flat, gs), trace)
 
+def _initial_cells(targets: np.ndarray, order: np.ndarray, sizes: np.ndarray,
+                   gs: int) -> np.ndarray:
+    """Snap the vertices of every graph to free flat cell indices, in
+    lockstep: step i places vertex order[g, i] of every graph g with more
+    than i vertices. targets (n, M, 2) and order (n, M) are padded to the
+    largest graph; padding vertices keep cell -1.
+
+    Around the rounded, clamped target, the first Chebyshev ring holding a
+    free cell and the two rings past it are searched; the winner minimizes
+    (squared distance to the target, row, col). Cells come in row-major
+    order, so the first argmin breaks ties exactly as that key does. This
+    is a ring-limited search, not the global nearest free cell: the two
+    differ once the first hit lies five or more rings out.
+    """
     rows, cols = np.divmod(np.arange(gs * gs), gs)
-    occ = np.full(gs * gs, -1, dtype=np.int64)
-    occ[flat] = np.arange(m)
-    G = np.abs(rows[:, None] - rows[flat]) + np.abs(cols[:, None] - cols[flat])
-    A = np.zeros((m, m), dtype=np.int64)
-    A[edges[:, 0], edges[:, 1]] = 1
-    A[edges[:, 1], edges[:, 0]] = 1
-    GA = G @ A
-    nbrs = [np.flatnonzero(A[u]) for u in range(m)]
-    vertices = np.arange(m)
+    free = np.ones((len(sizes), gs * gs), dtype=bool)
+    flat = np.full(order.shape, -1, dtype=np.int64)
+    anchors = np.clip(np.rint(targets), 0, gs - 1).astype(np.int64)
+    far = gs + 2  # ring given to occupied cells: past any ring the search keeps
+    for i in range(order.shape[1]):
+        g = np.flatnonzero(sizes > i)
+        v = order[g, i]
+        (tr, tc), (ar, ac) = targets[g, v].T[:, :, None], anchors[g, v].T[:, :, None]
+        ring = np.where(free[g], np.maximum(np.abs(rows - ar), np.abs(cols - ac)), far)
+        d2 = (rows - tr) ** 2 + (cols - tc) ** 2
+        d2[ring > ring.min(1, keepdims=True) + 2] = np.inf
+        f = d2.argmin(1)
+        free[g, f] = False
+        flat[g, v] = f
+    return flat
 
-    def place(w, f):
-        """Put vertex w on flat cell f and carry the change into G and GA."""
-        flat[w] = f
-        occ[f] = w
-        col = np.abs(rows - rows[f]) + np.abs(cols - cols[f])
-        GA[:, nbrs[w]] += (col - G[:, w])[:, None]
-        G[:, w] = col
 
-    # caches, dropped on every change of layout: the free flat cells in
-    # row-major order, and GA[flat, vertices], every vertex's edge length
-    free = cur_v = None
+def grid_embed_many(graphs: list, positions: list, grid_size: int = 16,
+                    max_passes: int = 1000) -> list:
+    """Injective assignments of the vertices of every graph to the cells of
+    its own grid_size x grid_size grid, all run in lockstep.
+
+    Each graph's vertices are projected onto their two principal
+    components, snapped to free cells in descending distance-from-centroid
+    order, then improved by a local search over single-vertex moves and
+    vertex swaps that only ever strictly reduces the total Manhattan edge
+    length. A pass visits every vertex with neighbours in index order; the
+    energy after each pass is recorded in the embedding's energy_trace, and
+    a graph stops after a pass without improvement. Step (pass p, vertex u)
+    makes that visit in every graph still running, so each graph gets the
+    layout it would get alone.
+
+    Manhattan distance splits into a row and a column part, so the search
+    keeps two integer tables over padded vertices w and grid lines i:
+    R[g, w, i], the summed row distance from line i to the neighbours of w,
+    and C[g, w, i] for columns. Vertex u costs R[u, r] + C[u, c] at cell
+    (r, c), and moving w changes only its neighbours' entries. Padding
+    vertices have no edges and are never swap targets; padded neighbour
+    lists point at a spare row past the last vertex.
+    """
+    gs = grid_size
+    if len(positions) != len(graphs):
+        raise ValueError(f"{len(positions)} position sets for {len(graphs)} graphs")
+    for k, graph in enumerate(graphs):
+        if graph.n_vertices > gs * gs:
+            raise ValueError(f"graph {k}: {graph.n_vertices} vertices do not fit "
+                             f"a {gs}x{gs} grid")
+    n = len(graphs)
+    if n == 0:
+        return []
+    sizes = np.array([g.n_vertices for g in graphs])
+    spare = int(sizes.max())  # the padded vertex index past every graph
+    vp = spare + 1
+    targets = np.zeros((n, spare, 2))
+    order = np.zeros((n, spare), dtype=np.int64)
+    for k, (m, p) in enumerate(zip(sizes, positions)):
+        targets[k, :m], order[k, :m] = _snap_targets(
+            np.asarray(p, dtype=np.float64).reshape(m, 3), gs)
+    flat = _initial_cells(targets, order, sizes, gs)
+    placed = flat >= 0
+    taken = np.zeros((n, gs * gs), dtype=bool)
+    taken[np.nonzero(placed)[0], flat[placed]] = True
+    pos = np.zeros((n, vp), dtype=np.int64)  # flat cell of every vertex, 0 for padding
+    pos[:, :spare] = np.where(placed, flat, 0)
+
+    adj = np.zeros((n, vp, vp), dtype=bool)
+    for k, graph in enumerate(graphs):
+        adj[k, graph.edges[:, 0], graph.edges[:, 1]] = True
+    adj |= adj.transpose(0, 2, 1)
+    deg = adj.sum(2)
+    # each vertex's neighbours in index order, then the spare row
+    first = np.argsort(~adj, axis=2, kind="stable")[:, :, :max(int(deg.max()), 1)]
+    nbr = np.where(np.take_along_axis(adj, first, 2), first, spare)
+
+    cells = np.stack(np.divmod(np.arange(gs * gs), gs), axis=1)  # (row, col) of each flat cell
+    span = np.abs(np.arange(gs) - cells[:, :, None])  # span[f, 0 / 1, i]: |i - row|, |i - col|
+    # float64 products of small integers are exact, and BLAS makes them fast
+    S = (adj.astype(np.float64) @ span[pos].reshape(n, vp, 2 * gs)
+         ).astype(np.int64).reshape(n, vp, 2, gs)  # S[..., 0, :] is R, S[..., 1, :] is C
+
+    real = np.arange(vp) < sizes[:, None]
+    every = np.arange(vp)
+    never = np.iinfo(np.int64).max  # the cost of moving onto an occupied cell
+
+    def lengths(g, rv, cv):
+        """Edge length R[w, row_w] + C[w, col_w] of every padded vertex w
+        of graphs g, whose rows and columns are rv and cv."""
+        gc = g[:, None]
+        return S[gc, every, 0, rv] + S[gc, every, 1, cv]
+
+    def shift(g, w, f):
+        """Move vertex w of each graph g to flat cell f and carry the
+        change into the tables of its neighbours."""
+        S[g[:, None], nbr[g, w]] += (span[f] - span[pos[g, w]])[:, None]
+        pos[g, w] = f
+
+    def energy(g):
+        return np.where(real[g], lengths(g, *np.divmod(pos[g], gs)), 0).sum(1) // 2
+
+    traces = [[int(e)] for e in energy(np.arange(n))]
+    running = deg.any(1)  # a graph without edges keeps its snapped cells
     for _ in range(max_passes):
-        improved = False
-        for u in range(m):
-            nb = nbrs[u]
-            if len(nb) == 0:
+        if not running.any():
+            break
+        improved = np.zeros(n, dtype=bool)
+        visits = ((deg > 0) & running[:, None]).T.copy()  # visits[u]: graphs that visit u
+        for u in range(int(sizes[running].max())):
+            g = np.flatnonzero(visits[u])
+            if len(g) == 0:
                 continue
-            fu = flat[u]
-            cur_u = GA[fu, u]
+            a = np.arange(len(g))
+            fv = pos[g]
+            rv, cv = np.divmod(fv, gs)
+            fu, ru, cu = fv[:, u], rv[:, u], cv[:, u]
+            Su = S[g, u]
+            at = (Su[:, 0, :, None] + Su[:, 1, None, :]).reshape(len(g), -1)  # u's length per cell
+            cur_u = at[a, fu]
 
-            if free is None:
-                free = np.flatnonzero(occ < 0)
-            best_move = None
-            if len(free):
-                cost = GA[free, u]
-                k = int(cost.argmin())
-                if cost[k] < cur_u:
-                    best_move = (int(cost[k] - cur_u), int(free[k]))
+            cost = np.where(taken[g], never, at)
+            to = cost.argmin(1)
+            move = cost[a, to] - cur_u
 
-            if cur_v is None:
-                cur_v = GA[flat, vertices]
-            swap_delta = (GA[flat, u] - cur_u) + (GA[fu] - cur_v)
+            swap = ((at[a[:, None], fv] - cur_u[:, None])
+                    + (S[g, :, 0, ru] + S[g, :, 1, cu] - lengths(g, rv, cv)))
             # an edge u-v keeps its length when u and v swap cells, but
             # both table reads above counted it at length 0
-            swap_delta[nb] += 2 * G[fu, nb]
-            swap_delta[u] = 1
-            v = int(swap_delta.argmin())
-            best_swap = (int(swap_delta[v]), v) if swap_delta[v] < 0 else None
+            swap += 2 * np.where(adj[g, u], np.abs(rv - ru[:, None]) + np.abs(cv - cu[:, None]), 0)
+            swap = np.where(real[g], swap, 1)
+            swap[:, u] = 1
+            v = swap.argmin(1)
+            best_swap = swap[a, v]
 
-            if best_move is not None and (best_swap is None or best_move[0] <= best_swap[0]):
-                occ[fu] = -1
-                place(u, best_move[1])
-            elif best_swap is not None:
-                v = best_swap[1]
-                fv = flat[v]
-                place(u, fv)
-                place(v, fu)
-            else:
+            do_move = (move < 0) & ((best_swap >= 0) | (move <= best_swap))
+            do_swap = ~do_move & (best_swap < 0)
+            moved = do_move | do_swap
+            if not moved.any():
                 continue
-            free = cur_v = None
-            improved = True
-        trace.append(_edge_energy(_cells(flat, gs), edges))
-        if not improved:
-            break
-    return GridEmbedding(gs, _cells(flat, gs), trace)
+            taken[g[do_move], fu[do_move]] = False
+            taken[g[do_move], to[do_move]] = True
+            gm = g[moved]
+            shift(gm, u, np.where(do_move, to, fv[a, v])[moved])
+            shift(g[do_swap], v[do_swap], fu[do_swap])
+            improved[gm] = True
+        for k, e in zip(np.flatnonzero(running), energy(np.flatnonzero(running))):
+            traces[k].append(int(e))
+        running &= improved
+    return [GridEmbedding(gs, cells[pos[k, :m]], trace)
+            for k, (m, trace) in enumerate(zip(sizes, traces))]
+
+
+def grid_embed(graph: Graph, positions: np.ndarray, grid_size: int = 16,
+               seed: int = 0, max_passes: int = 1000) -> GridEmbedding:
+    """grid_embed_many of one graph. The layout is deterministic; seed is
+    accepted for call compatibility and unused."""
+    return grid_embed_many([graph], [positions], grid_size, max_passes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -643,15 +691,16 @@ def draw_image(cloud: PointCloud, hierarchy: ClusterHierarchy,
 
 def map_graphdraw(cloud: PointCloud, k: int = 32, alpha: float = 1.2,
                   grid: int = 16, seed: int = 0, max_iters: int = 50) -> MappedImage:
-    """Full pipeline: cluster, triangulate both levels, embed, draw."""
+    """Full pipeline: cluster, triangulate both levels, embed every graph
+    in one grid_embed_many call, draw."""
     check_cloud_size(cloud.n, k=k, alpha=alpha, grid=grid)
     h = build_hierarchy(cloud, k=k, alpha=alpha, seed=seed, max_iters=max_iters)
-    top_embed = grid_embed(h.top_edges, h.centers, grid_size=grid, seed=seed)
-    within_embeds = []
-    for i, mem in enumerate(h.members):
-        if len(mem) == 0:
-            within_embeds.append(GridEmbedding(grid, np.empty((0, 2), dtype=np.int64)))
-            continue
-        within_embeds.append(
-            grid_embed(h.within_edges[i], cloud.points[mem], grid_size=grid, seed=seed + i + 1))
+    filled = [i for i, mem in enumerate(h.members) if len(mem)]
+    embeds = iter(grid_embed_many(
+        [h.top_edges] + [h.within_edges[i] for i in filled],
+        [h.centers] + [cloud.points[h.members[i]] for i in filled], grid_size=grid))
+    top_embed = next(embeds)
+    within_embeds = [next(embeds) if len(mem)
+                     else GridEmbedding(grid, np.empty((0, 2), dtype=np.int64))
+                     for mem in h.members]
     return draw_image(cloud, h, top_embed, within_embeds)

@@ -269,3 +269,24 @@ def test_off_dir_single_mesh_class_stays_in_train(tmp_path, capsys):
     for kind, count in meshes.items():
         assert rows["train"].count(kind) + rows["test"].count(kind) == count
     assert rows["test"] == ["a"]
+
+
+def test_off_dir_without_path_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, dataset={"type": "off_dir"})
+    out = tmp_path / "out"
+    assert main(["dataset", "--config", path, "--out", str(out)]) == 1
+    assert "error: an off_dir dataset needs the key 'path'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("frac", [0, 1, 1.5, -0.2])
+def test_off_dir_rejects_test_fraction_outside_unit_interval(tmp_path, capsys, frac):
+    (tmp_path / "meshes" / "a").mkdir(parents=True)
+    for i in range(3):
+        (tmp_path / "meshes" / "a" / f"m{i}.off").write_text(TET_OFF)
+    path = write_config(tmp_path, dataset={"type": "off_dir", "path": str(tmp_path / "meshes"),
+                                           "points": 64, "test_fraction": frac})
+    out = tmp_path / "out"
+    assert main(["dataset", "--config", path, "--out", str(out)]) == 1
+    assert "test_fraction must lie strictly between 0 and 1" in capsys.readouterr().err
+    assert not out.exists()

@@ -9,7 +9,7 @@ from cloudmap.graphdraw import (ClusterHierarchy, Graph, GridEmbedding,
                                 balanced_kmeans, build_hierarchy,
                                 check_cloud_size, delaunay3, delaunay3_many,
                                 delaunay_oracle, draw_image, grid_embed,
-                                map_graphdraw)
+                                grid_embed_many, map_graphdraw)
 from cloudmap.project import GradPath
 
 from bowyer_watson_oracle import bowyer_watson_oracle, delaunay3_oracle
@@ -417,11 +417,77 @@ def oracle_cases():
 def test_grid_embed_matches_frozen_oracle():
     cases = oracle_cases()
     assert len(cases) >= 200
+    wants = {}
     for name, g, pos, gs in cases:
         got = grid_embed(g, pos, grid_size=gs)
-        want = grid_embed_oracle(g, pos, grid_size=gs)
+        want = wants[name] = grid_embed_oracle(g, pos, grid_size=gs)
         assert np.array_equal(got.cells, want.cells), name
         assert got.energy_trace == want.energy_trace, name
+    # each grid size's cases again, all in one lockstep call
+    for gs in sorted({case[3] for case in cases}):
+        names, graphs, positions = zip(*[case[:3] for case in cases if case[3] == gs])
+        for name, got in zip(names, grid_embed_many(graphs, positions, grid_size=gs)):
+            assert np.array_equal(got.cells, wants[name].cells), name
+            assert got.energy_trace == wants[name].energy_trace, name
+
+
+GRAPH_KINDS = ("single", "no edges", "isolated", "coincident", "full", "delaunay")
+
+
+def embed_case(kind, seed, m, gs):
+    """(graph, positions) of one kind on a gs x gs grid; m is capped to fit."""
+    rng = np.random.default_rng(seed)
+    m = 1 if kind == "single" else gs * gs if kind == "full" else min(m, gs * gs)
+    pos = rng.uniform(-1, 1, (m, 3))
+    if kind == "coincident":  # two stacks of identical points
+        pos = np.repeat(rng.uniform(-1, 1, (2, 3)), [m // 2, m - m // 2], axis=0)
+    if m == 1 or kind == "no edges":
+        return Graph(m, np.empty((0, 2), dtype=np.int64)), pos
+    if kind == "isolated":  # the second half of the vertices has no edges
+        return Graph(m, delaunay3(pos[:max(2, m // 2)]).edges), pos
+    return delaunay3(pos), pos
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from((2, 4, 8)),
+       st.lists(st.tuples(st.sampled_from(GRAPH_KINDS), st.integers(0, 2**32 - 1),
+                          st.integers(1, 40)), min_size=1, max_size=6))
+def test_grid_embed_batch_equals_one_graph_at_a_time(gs, specs):
+    cases = [embed_case(*spec, gs) for spec in specs]
+    alone = [grid_embed_oracle(g, pos, grid_size=gs) for g, pos in cases]
+    for batch, want in ((cases, alone), (cases[::-1], alone[::-1])):
+        got = grid_embed_many([g for g, _ in batch], [pos for _, pos in batch], grid_size=gs)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.cells, b.cells)
+            assert a.energy_trace == b.energy_trace
+
+
+def test_grid_embed_many_checks_every_graph_first(monkeypatch):
+    calls = []
+    for name in ("_snap_targets", "_initial_cells"):
+        monkeypatch.setattr(graphdraw, name, lambda *a, name=name: calls.append(name))
+    graphs = [rand_graph(10, s)[0] for s in range(5)]
+    graphs[3] = Graph(17, np.empty((0, 2), dtype=np.int64))
+    positions = [np.zeros((g.n_vertices, 3)) for g in graphs]
+    with pytest.raises(ValueError, match="graph 3: 17 vertices do not fit a 4x4 grid"):
+        grid_embed_many(graphs, positions, grid_size=4)
+    with pytest.raises(ValueError, match="4 position sets for 5 graphs"):
+        grid_embed_many(graphs, positions[:4], grid_size=16)
+    assert calls == []
+    assert grid_embed_many([], [], grid_size=4) == []
+
+
+def test_map_graphdraw_embeds_in_one_call(monkeypatch):
+    real = graphdraw.grid_embed_many
+    calls = []
+    monkeypatch.setattr(graphdraw, "grid_embed_many",
+                        lambda graphs, *a, **kw: calls.append(len(graphs)) or real(graphs, *a, **kw))
+    monkeypatch.setattr(graphdraw, "grid_embed", None)  # the map must not embed one by one
+    cloud = synth_shape("cone", 256, seed=[64, 1])
+    h = build_hierarchy(cloud, seed=3)
+    map_graphdraw(cloud, seed=3)
+    assert calls == [1 + sum(len(mem) > 0 for mem in h.members)]
 
 
 # ---------------------------------------------------------------------------
