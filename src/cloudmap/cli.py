@@ -63,7 +63,35 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
+# typed config values, as "section.key" or "key"
+CONFIG_TYPES = {
+    "seed": int, "epsilon": float, "out": str,
+    "dataset.train_per_class": int, "dataset.test_per_class": int,
+    "dataset.points": int, "dataset.test_fraction": float,
+    "train.epochs": int, "train.batch_size": int, "train.lr_step": int,
+    "train.lr": float, "train.lr_gamma": float, "train.weight_decay": float,
+    "train.augment": bool,
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string"}
+
+
+def _has_type(val, kind) -> bool:
+    if isinstance(val, bool):  # an int subclass, but neither a count nor a number here
+        return kind is bool
+    return isinstance(val, (int, float) if kind is float else kind)
+
+
+def _check_types(cfg: dict) -> None:
+    for key, kind in CONFIG_TYPES.items():
+        section, _, name = key.rpartition(".")
+        part = cfg[section] if section else cfg
+        if name in part and not _has_type(part[name], kind):
+            raise ValueError(f"{key} must be {_TYPE_NAMES[kind]}, got {part[name]!r}")
+
+
 def validate_config(cfg: dict) -> None:
+    _check_types(cfg)
     if cfg["pipeline"] not in PIPELINE_NAMES:
         raise ValueError(f"unknown pipeline {cfg['pipeline']!r}")
     ds = cfg["dataset"]

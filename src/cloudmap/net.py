@@ -66,20 +66,33 @@ class TinyNet:
 # ---------------------------------------------------------------------------
 # layer forward/backward pairs
 
+def _window_sum(x: np.ndarray, factor: int) -> np.ndarray:
+    """Sums over factor x factor windows of an (H, W, C) array; a partial
+    edge window sums the pixels present. The strided slices x[i::f, j::f]
+    are added in row-major (i, j) order, the order in which numpy reduces
+    x.reshape(h/f, f, w/f, f, c) over axes (1, 3) when C >= 2, so those
+    sums are bit-identical; for C == 1 numpy sums each window row first,
+    which can differ in the last bit. Each pass reads only the pixels it
+    adds."""
+    h, w, c = x.shape
+    out = np.zeros((-(-h // factor), -(-w // factor), c))
+    for i in range(factor):
+        for j in range(factor):
+            s = x[i::factor, j::factor]
+            out[:s.shape[0], :s.shape[1]] += s
+    return out
+
+
 def _avgpool_entry(x: np.ndarray, factor: int):
     """Downsample by an integer factor; partial edge windows are averaged
     over the pixels actually present."""
     if factor <= 1:
         return x, None
-    h, w, c = x.shape
-    ph, pw = -(-h // factor), -(-w // factor)
-    xp = np.zeros((ph * factor, pw * factor, c))
-    xp[:h, :w] = x
-    sums = xp.reshape(ph, factor, pw, factor, c).sum(axis=(1, 3))
-    rows = np.minimum(factor, h - factor * np.arange(ph))
-    cols = np.minimum(factor, w - factor * np.arange(pw))
+    h, w, _ = x.shape
+    rows = np.minimum(factor, h - factor * np.arange(-(-h // factor)))
+    cols = np.minimum(factor, w - factor * np.arange(-(-w // factor)))
     counts = rows[:, None] * cols[None, :]
-    out = sums / counts[:, :, None]
+    out = _window_sum(x, factor) / counts[:, :, None]
     return out, (h, w, factor, counts)
 
 

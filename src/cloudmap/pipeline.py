@@ -7,6 +7,7 @@ graph-drawing image carry raw coordinates in their intensities
 (coordinate leak), which is exactly the surface the attack module probes.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -14,12 +15,38 @@ import numpy as np
 
 from .cloud import PointCloud
 from .graphdraw import map_graphdraw
-from .net import TinyNet, _avgpool_entry
+from .net import TinyNet, _avgpool_entry, _window_sum
 from .project import GradPath, MappedImage, basic_project, basic_project_leaky
 from .render import AdaINParams, ZBufferConfig, adain, positional_embedding, zbuffer
 
 ZCONFIG = ZBufferConfig()
 ZBUFFER_ADAIN = AdaINParams.identity(3)  # image, row and column channels
+
+
+def _condition_depth(v: np.ndarray) -> np.ndarray:
+    """Channel 0 of adain(concat(depth, positional), ZBUFFER_ADAIN), bit for
+    bit. adain reduces a 3-channel image over (H, W) one pixel after the
+    other, so the mean and variance are sequential sums, as cumsum's."""
+    mu = np.cumsum(v)[-1] / v.size
+    d = v - mu
+    var = np.cumsum(d * d)[-1] / v.size
+    p = ZBUFFER_ADAIN
+    y_s = (p.w_scale @ p.control + p.b_scale)[0]
+    y_b = (p.w_bias @ p.control + p.b_bias)[0]
+    return y_s * (d / np.sqrt(var + p.eps)) + y_b
+
+
+@functools.cache
+def _zbuffer_positional(h: int, w: int, f: int) -> np.ndarray:
+    """Channels 1-2 of zbuffer's net input: the positional embedding,
+    conditioned and average-pooled. adain treats each channel alone, so
+    they are the same for every depth image; they are built on first use
+    beside a blank depth channel and kept read-only."""
+    x = np.concatenate([np.zeros((h, w, 1)), positional_embedding(h, w)], axis=2)
+    x, _ = adain(x, ZBUFFER_ADAIN)
+    out = _avgpool_entry(x, f)[0][:, :, 1:].copy()
+    out.flags.writeable = False
+    return out
 
 
 class Mapper(NamedTuple):
@@ -66,14 +93,12 @@ class Pipeline:
         sum-pooled; zbuffer gets positional channels and identity AdaIN,
         then an average pool by 5."""
         x = image.data
-        h, w, c = x.shape
         f = -(-self.size // 64)
         if MAPPERS[self.name].sparse:
-            # f divides 456 and 256: every window is full
-            return x.reshape(h // f, f, w // f, f, c).sum(axis=(1, 3))
-        x = np.concatenate([x, positional_embedding(h, w)], axis=2)
-        x, _ = adain(x, ZBUFFER_ADAIN)
-        return _avgpool_entry(x, f)[0]
+            return _window_sum(x, f)
+        h, w, _ = x.shape
+        depth = _avgpool_entry(_condition_depth(x[:, :, 0])[:, :, None], f)[0]
+        return np.concatenate([depth, _zbuffer_positional(h, w, f)], axis=2)
 
     def net_input(self, cloud: PointCloud) -> np.ndarray:
         return self.net_input_from_image(self.map_image(cloud))

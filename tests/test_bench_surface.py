@@ -21,19 +21,24 @@ import tracer  # noqa: E402
 def test_tracer_wraps_every_traced_name_and_restores_it():
     forward, map_image = net.forward, pipeline.Pipeline.map_image
     cloud = synth_shape("cone", 128, seed=1)
+    # zbuffer's conditioned positional channels are built once per process
+    pipeline._zbuffer_positional.cache_clear()
     t = tracer.Tracer()
     try:
         t.install()  # raises if a traced name is gone
         for name in PIPELINE_NAMES:
             p = make_pipeline(name, 5, seed=0)
             net.forward(p.net, p.net_input(cloud), downsample=p.downsample)
+        make_pipeline("zbuffer", 5, seed=1).net_input(cloud)
     finally:
         t.uninstall()
     assert net.forward is forward and pipeline.Pipeline.map_image is map_image
-    for key in ("net.forward", "pipeline.map_image", "pipeline.net_input_from_image"):
-        assert t.calls[key] == len(PIPELINE_NAMES), key
+    assert t.calls["net.forward"] == len(PIPELINE_NAMES)
+    for key in ("pipeline.map_image", "pipeline.net_input_from_image"):
+        assert t.calls[key] == len(PIPELINE_NAMES) + 1, key
+    assert t.calls["render.zbuffer"] == 2
     for key in ("project.basic_project", "project.basic_project_leaky",
-                "graphdraw.map_graphdraw", "render.zbuffer",
+                "graphdraw.map_graphdraw",
                 "render.positional_embedding", "render.adain"):
         assert t.calls[key] == 1, key
 

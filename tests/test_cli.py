@@ -107,6 +107,40 @@ def test_graphdraw_oversized_config_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("train.epochs", "2"), ("train.epochs", True), ("train.epochs", 2.0),
+    ("train.batch_size", "4"), ("train.batch_size", 4.0),
+    ("dataset.points", "256"), ("dataset.points", 256.0),
+    ("epsilon", "0.1"), ("epsilon", True),
+    ("train.augment", "false"), ("train.augment", 0), ("out", 5),
+])
+def test_validate_rejects_wrong_value_types(key, value):
+    cfg = load_config(None, {})
+    section, _, name = key.rpartition(".")
+    (cfg[section] if section else cfg)[name] = value
+    with pytest.raises(ValueError, match=f"^{key} must be (an integer|a number|true or false|a string), got"):
+        validate_config(cfg)
+
+
+def test_validate_accepts_ints_where_numbers_are_asked():
+    cfg = load_config(None, {})
+    cfg["epsilon"], cfg["train"]["lr"], cfg["train"]["weight_decay"] = 0, 1, 0
+    validate_config(cfg)
+
+
+@pytest.mark.parametrize("updates, key", [
+    ({"train": {"epochs": "2"}}, "train.epochs"),
+    ({"dataset": {"points": True}}, "dataset.points"),
+    ({"epsilon": "0.1"}, "epsilon"),
+])
+def test_wrong_value_type_is_a_config_error(tmp_path, capsys, updates, key):
+    path = write_config(tmp_path, **updates)
+    out = tmp_path / "out"
+    assert main(["dataset", "--config", path, "--out", str(out)]) == 1
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_exits_nonzero(tmp_path, capsys):
     path = write_config(tmp_path, dataset={"points": 8})
     rc = main(["dataset", "--config", path, "--out", str(tmp_path / "out")])
@@ -289,4 +323,15 @@ def test_off_dir_rejects_test_fraction_outside_unit_interval(tmp_path, capsys, f
     out = tmp_path / "out"
     assert main(["dataset", "--config", path, "--out", str(out)]) == 1
     assert "test_fraction must lie strictly between 0 and 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("frac", ["0.5", True])
+def test_off_dir_rejects_test_fraction_of_wrong_type(tmp_path, capsys, frac):
+    (tmp_path / "meshes" / "a").mkdir(parents=True)
+    path = write_config(tmp_path, dataset={"type": "off_dir", "path": str(tmp_path / "meshes"),
+                                           "points": 64, "test_fraction": frac})
+    out = tmp_path / "out"
+    assert main(["dataset", "--config", path, "--out", str(out)]) == 1
+    assert "error: dataset.test_fraction must be a number" in capsys.readouterr().err
     assert not out.exists()

@@ -2,9 +2,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cloudmap.net import (TinyNet, TrainConfig, adam_step, evaluate, forward,
-                          init_adam_state, load_checkpoint, loss_and_grad,
+from cloudmap.net import (TinyNet, TrainConfig, _window_sum, adam_step, evaluate,
+                          forward, init_adam_state, load_checkpoint, loss_and_grad,
                           lr_at, save_checkpoint, train, write_loss_history)
 
 
@@ -82,6 +84,51 @@ def test_forward_downsample_matches_manual_pool():
     img = rng.random((16, 16, 1))
     pooled = img.reshape(8, 2, 8, 2, 1).mean((1, 3))
     assert np.allclose(forward(net, img, downsample=2), forward(net, pooled))
+
+
+def reshape_window_sum(x, f):
+    """The entry pool's window sum before _window_sum, frozen: zero-pad to
+    whole windows, reshape, sum over the window axes."""
+    h, w, c = x.shape
+    ph, pw = -(-h // f), -(-w // f)
+    xp = np.zeros((ph * f, pw * f, c))
+    xp[:h, :w] = x
+    return xp.reshape(ph, f, pw, f, c).sum(axis=(1, 3))
+
+
+def window_test_array(kind, h, w, c, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros((h, w, c))
+    if kind == "occupancy":
+        return (rng.random((h, w, c)) < 0.1).astype(np.float64)
+    if kind == "sparse":
+        return np.where(rng.random((h, w, c)) < 0.05, rng.random((h, w, c)), 0.0)
+    if kind == "dense":
+        return rng.random((h, w, c))
+    # negative: mixed signs over twelve decades, so that the summation
+    # order shows in the last bits
+    return rng.normal(size=(h, w, c)) * 10.0 ** rng.uniform(-6, 6, (h, w, c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(1, 6), st.integers(0, 7),
+       st.integers(1, 6), st.integers(0, 7),
+       st.sampled_from(("zero", "occupancy", "sparse", "dense", "negative")),
+       st.integers(0, 2**32 - 1))
+def test_window_sum_equals_frozen_reshape_sum(f, c, hq, hr, wq, wr, kind, seed):
+    h, w = hq * f + hr % f, wq * f + wr % f  # whole windows and partial edges
+    x = window_test_array(kind, h, w, c, seed)
+    got = _window_sum(x, f)
+    # numpy reduces a one-channel image row by row within each window; the
+    # row-major order of the strided slices is that of two or more channels
+    if c == 1:
+        want = reshape_window_sum(np.repeat(x, 2, axis=2), f)[:, :, :1]
+    else:
+        want = reshape_window_sum(x, f)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    if kind in ("zero", "occupancy"):  # integer sums are exact in any order
+        assert np.array_equal(got, reshape_window_sum(x, f))
 
 
 def test_forward_accepts_tiny_input():

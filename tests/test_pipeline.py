@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from cloudmap.cloud import SYNTH_KINDS, AugmentConfig, PointCloud, augment, synth_shape
-from cloudmap.net import _avgpool_entry
 from cloudmap.pipeline import MAPPERS, PIPELINE_NAMES, Pipeline, make_pipeline
-from cloudmap.render import AdaINParams, adain, positional_embedding
 
 
 def entry_factor(size):
@@ -42,10 +40,37 @@ def test_unknown_name_rejected():
 def test_sparse_input_is_the_old_scaled_average_pool():
     # the net once read x * f^2 average-pooled by f, and zbuffer's
     # conditioned image average-pooled by f; the pipeline's inputs must be
-    # the same numbers bit for bit, out-of-frame points included
+    # the same numbers bit for bit, out-of-frame points included. The old
+    # pool and conditioning are frozen here as they were, so the oracle
+    # shares no code with the pipeline's path.
+    def old_avgpool_entry(x, factor):
+        h, w, c = x.shape
+        ph, pw = -(-h // factor), -(-w // factor)
+        xp = np.zeros((ph * factor, pw * factor, c))
+        xp[:h, :w] = x
+        sums = xp.reshape(ph, factor, pw, factor, c).sum(axis=(1, 3))
+        rows = np.minimum(factor, h - factor * np.arange(ph))
+        cols = np.minimum(factor, w - factor * np.arange(pw))
+        counts = rows[:, None] * cols[None, :]
+        return sums / counts[:, :, None]
+
+    def old_zbuffer_conditioning(data):
+        # positional channels, then adain with AdaINParams.identity(3)
+        h, w, _ = data.shape
+        pos = np.empty((h, w, 2))
+        pos[:, :, 0] = np.linspace(0.0, 1.0, h)[:, None]
+        pos[:, :, 1] = np.linspace(0.0, 1.0, w)[None, :]
+        x = np.concatenate([data, pos], axis=2)
+        mu = x.mean(axis=(0, 1))
+        var = x.var(axis=(0, 1))
+        xhat = (x - mu) / np.sqrt(var + 1e-5)
+        return np.ones(3) * xhat + np.zeros(3)
+
     clouds = [synth_shape(kind, 128, seed=[2, ci]) for ci, kind in enumerate(SYNTH_KINDS)]
     clouds += [augment(c, AugmentConfig(seed=i)) for i, c in enumerate(clouds)]
     clouds.append(PointCloud(1.3 * clouds[0].points))
+    clouds += [synth_shape(kind, n, seed=[3, ci, n])
+               for n in (256, 1024) for ci, kind in enumerate(SYNTH_KINDS)]
     assert any(np.abs(c.points[:, :2]).max() >= 1.0 for c in clouds)
     for name, spec in MAPPERS.items():
         pipe = make_pipeline(name, 3, seed=0)
@@ -53,9 +78,7 @@ def test_sparse_input_is_the_old_scaled_average_pool():
         for c in clouds:
             image = pipe.map_image(c)
             if spec.sparse:
-                want, _ = _avgpool_entry(image.data * f ** 2, f)
+                want = old_avgpool_entry(image.data * f ** 2, f)
             else:
-                h, w, _ = image.data.shape
-                x = np.concatenate([image.data, positional_embedding(h, w)], axis=2)
-                want, _ = _avgpool_entry(adain(x, AdaINParams.identity(3))[0], f)
+                want = old_avgpool_entry(old_zbuffer_conditioning(image.data), f)
             assert np.array_equal(pipe.net_input_from_image(image), want), name
