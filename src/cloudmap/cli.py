@@ -99,6 +99,9 @@ def validate_config(cfg: dict) -> None:
         bad = [k for k in ds["classes"] if k not in SYNTH_KINDS]
         if bad:
             raise ValueError(f"unknown shape kinds {bad}")
+        repeated = sorted({k for k in ds["classes"] if ds["classes"].count(k) > 1})
+        if repeated:
+            raise ValueError(f"repeated shape kinds {repeated}")
         if ds["train_per_class"] < 1 or ds["test_per_class"] < 1:
             raise ValueError("per-class counts must be >= 1")
         if ds["points"] < 64:

@@ -3,10 +3,12 @@ backpropagation, Adam with decoupled weight decay, a step learning-rate
 schedule, a training loop over mapped point clouds, and accuracy metrics.
 
 Layout is channels-last (H, W, C); conv weights are (C_in, 3, 3, C_out).
-Pipelines hand the net inputs of at most 64x64 pixels. forward and
-loss_and_grad can also average-pool by an integer downsample factor
-before the first conv; the pooling is differentiable, so input gradients
-come back at the original resolution.
+Each convolution and its weight and input gradients are plain matmuls
+over an im2col matrix of 3x3 windows; train skips conv1's input
+gradient, which only attacks read. Pipelines hand the net inputs of at
+most 64x64 pixels. forward and loss_and_grad can also average-pool by
+an integer downsample factor before the first conv; the pooling is
+differentiable, so input gradients come back at the original resolution.
 """
 
 import csv
@@ -106,24 +108,37 @@ def _avgpool_entry_back(d_out: np.ndarray, cache) -> np.ndarray:
 
 
 def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """3x3 same convolution as one matmul. Row p of the im2col matrix
+    holds pixel p's zero-padded window in (3, 3, C_in) order, so the copy
+    that builds it moves runs of C_in contiguous values."""
     h, wd, ci = x.shape
     xp = np.zeros((h + 2, wd + 2, ci))
     xp[1:-1, 1:-1] = x
-    win = sliding_window_view(xp, (3, 3), axis=(0, 1))  # (h, wd, ci, 3, 3)
-    out = np.einsum("hwcij,cijo->hwo", win, w, optimize=True) + b
-    return out, (win, w, x.shape)
+    cols = sliding_window_view(xp, (3, 3), axis=(0, 1)) \
+        .transpose(0, 1, 3, 4, 2).reshape(h * wd, 9 * ci)
+    out = cols @ w.transpose(1, 2, 0, 3).reshape(9 * ci, -1)
+    out += b
+    return out.reshape(h, wd, -1), (cols, w, x.shape)
 
 
-def _conv_back(d_out: np.ndarray, cache):
-    win, w, x_shape = cache
+def _conv_back(d_out: np.ndarray, cache, input_grad: bool):
+    """Gradients for the input (None unless input_grad), weights and bias.
+    The input gradient is one stacked matmul giving each window offset
+    (i, j) its own contiguous (H, W, C_in) block, added shifted by (i, j)."""
+    cols, w, x_shape = cache
     h, wd, ci = x_shape
-    d_w = np.einsum("hwcij,hwo->cijo", win, d_out, optimize=True)
+    co = w.shape[3]
+    d_out2d = d_out.reshape(h * wd, co)
+    d_w = (cols.T @ d_out2d).reshape(3, 3, ci, co).transpose(2, 0, 1, 3)
     d_b = d_out.sum(axis=(0, 1))
+    if not input_grad:
+        return None, d_w, d_b
+    d_cols = (d_out2d @ w.transpose(1, 2, 3, 0).reshape(9, co, ci)) \
+        .reshape(3, 3, h, wd, ci)
     d_xp = np.zeros((h + 2, wd + 2, ci))
     for i in range(3):
         for j in range(3):
-            d_xp[i:i + h, j:j + wd] += np.einsum(
-                "hwo,co->hwc", d_out, w[:, i, j, :], optimize=True)
+            d_xp[i:i + h, j:j + wd] += d_cols[i, j]
     return d_xp[1:-1, 1:-1], d_w, d_b
 
 
@@ -187,6 +202,13 @@ def forward(net: TinyNet, image, downsample: int = 1) -> np.ndarray:
 def loss_and_grad(net: TinyNet, image, label: int, downsample: int = 1):
     """Softmax cross-entropy plus gradients for every parameter and for
     the input image (at its original resolution)."""
+    return _loss_and_grads(net, image, label, downsample, input_grad=True)
+
+
+def _loss_and_grads(net: TinyNet, image, label: int, downsample: int,
+                    input_grad: bool):
+    """loss_and_grad; without input_grad, conv1's input gradient is never
+    computed and d_input is None."""
     x = np.asarray(image, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != net.c_in:
         raise ValueError(f"expected (H, W, {net.c_in}) input, got {x.shape}")
@@ -210,8 +232,9 @@ def loss_and_grad(net: TinyNet, image, label: int, downsample: int = 1):
     for i in (3, 2, 1):
         d_a = _maxpool_back(d_a, caches[f"max{i}"])
         d_a = d_a * caches[f"relu{i}"]
-        d_a, grads[f"conv{i}_w"], grads[f"conv{i}_b"] = _conv_back(d_a, caches[f"conv{i}"])
-    d_input = _avgpool_entry_back(d_a, caches["pool0"])
+        d_a, grads[f"conv{i}_w"], grads[f"conv{i}_b"] = _conv_back(
+            d_a, caches[f"conv{i}"], input_grad or i > 1)
+    d_input = _avgpool_entry_back(d_a, caches["pool0"]) if input_grad else None
     return loss, grads, d_input
 
 
@@ -281,7 +304,8 @@ def train(pipeline, dataset: list, cfg: TrainConfig):
                                   seed=int(np.random.default_rng(
                                       [cfg.seed, 77, epoch, int(si)]).integers(2 ** 31)))
                     x = pipeline.net_input(augment(cloud, aug))
-                loss, grads, _ = loss_and_grad(net, x, cloud.label)
+                loss, grads, _ = _loss_and_grads(net, x, cloud.label, 1,
+                                                 input_grad=False)
                 if not np.isfinite(loss):
                     raise RuntimeError(f"loss diverged at epoch {epoch}")
                 losses.append(loss)

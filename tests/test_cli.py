@@ -141,6 +141,14 @@ def test_wrong_value_type_is_a_config_error(tmp_path, capsys, updates, key):
     assert not out.exists()
 
 
+def test_repeated_synthetic_kinds_are_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, dataset={"classes": ["cube", "sphere", "cube"]})
+    out = tmp_path / "out"
+    assert main(["dataset", "--config", path, "--out", str(out)]) == 1
+    assert "error: repeated shape kinds ['cube']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_exits_nonzero(tmp_path, capsys):
     path = write_config(tmp_path, dataset={"points": 8})
     rc = main(["dataset", "--config", path, "--out", str(tmp_path / "out")])

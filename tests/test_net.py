@@ -1,13 +1,17 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cloudmap.cloud import SYNTH_KINDS, AugmentConfig, augment, synth_shape
 from cloudmap.net import (TinyNet, TrainConfig, _window_sum, adam_step, evaluate,
                           forward, init_adam_state, load_checkpoint, loss_and_grad,
                           lr_at, save_checkpoint, train, write_loss_history)
+from cloudmap.pipeline import make_pipeline
+
+import tinynet_oracle
 
 
 @dataclass
@@ -226,6 +230,92 @@ def test_input_gradient_matches_fd_with_downsample():
         denom = max(abs(fd), abs(d_input[r, c, 0]), 1e-8)
         worst = max(worst, abs(fd - d_input[r, c, 0]) / denom)
     assert worst < 1e-4
+
+
+def assert_close_rel(got, want, rtol=1e-12):
+    """Every entry within rtol of the largest magnitude in want."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+ODD = st.integers(0, 16).map(lambda k: 2 * k + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from([(1, 1), (57, 57), (64, 64)]), st.tuples(ODD, ODD)),
+       st.sampled_from((1, 3)), st.sampled_from((1, 3)), st.integers(2, 5),
+       st.booleans(), st.integers(0, 2**32 - 1))
+@example((1, 1), 1, 3, 2, False, 0)
+@example((57, 57), 1, 1, 5, True, 1)
+@example((57, 57), 3, 3, 3, False, 2)
+@example((64, 64), 3, 1, 4, True, 3)
+@example((64, 64), 1, 3, 5, False, 4)
+@example((31, 17), 3, 1, 2, False, 5)
+def test_loss_and_grad_matches_einsum_oracle(shape, c_in, downsample, num_classes,
+                                             sparse, seed):
+    rng = np.random.default_rng(seed)
+    net = TinyNet(c_in, num_classes, seed=seed % 1000)
+    for i in (1, 2, 3):  # nonzero biases, so relu masks differ per pixel
+        net.params[f"conv{i}_b"] = rng.normal(0.0, 0.1, 16)
+    x = rng.normal(size=shape + (c_in,))
+    if sparse:  # like a sum-pooled sparse map: mostly zero, nonnegative
+        x = np.where(rng.random(x.shape) < 0.1, np.abs(x), 0.0)
+    label = int(rng.integers(num_classes))
+    want_logits, want_loss, want_grads, want_d_input = tinynet_oracle.loss_and_grad(
+        net.params, x, label, downsample)
+    loss, grads, d_input = loss_and_grad(net, x, label, downsample=downsample)
+    assert_close_rel(forward(net, x, downsample=downsample), want_logits)
+    assert abs(loss - want_loss) <= 1e-12 * max(abs(want_loss), 1.0)
+    assert grads.keys() == want_grads.keys()
+    for name in grads:
+        assert_close_rel(grads[name], want_grads[name])
+    assert_close_rel(d_input, want_d_input)
+
+
+def reference_train(pipeline, dataset, cfg):
+    """train's loop spelled out over loss_and_grad, d_input discarded."""
+    net = pipeline.net
+    state = init_adam_state(net)
+    history = []
+    t = 0
+    for epoch in range(cfg.epochs):
+        order = np.random.default_rng([cfg.seed, 31, epoch]).permutation(len(dataset))
+        losses = []
+        for start in range(0, len(dataset), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            acc = {name: np.zeros_like(p) for name, p in net.params.items()}
+            for si in batch:
+                cloud = dataset[si]
+                if cfg.augment_cfg is not None:
+                    aug_seed = int(np.random.default_rng(
+                        [cfg.seed, 77, epoch, int(si)]).integers(2 ** 31))
+                    cloud = augment(cloud, replace(cfg.augment_cfg, seed=aug_seed))
+                loss, grads, _ = loss_and_grad(net, pipeline.net_input(cloud),
+                                               dataset[si].label)
+                losses.append(loss)
+                for name in acc:
+                    acc[name] += grads[name]
+            for name in acc:
+                acc[name] /= len(batch)
+            t += 1
+            adam_step(net.params, acc, state, cfg, t, lr=lr_at(epoch, cfg))
+        history.append(float(np.mean(losses)))
+    return history
+
+
+@pytest.mark.parametrize("name", ["basic", "leaky"])
+@pytest.mark.parametrize("augmented", [False, True])
+def test_train_equals_reference_loop_bit_for_bit(name, augmented):
+    dataset = [synth_shape(kind, 128, seed=[s, k])
+               for k, kind in enumerate(SYNTH_KINDS[:3]) for s in range(2)]
+    cfg = TrainConfig(epochs=3, lr=0.01, batch_size=4, seed=5,
+                      augment_cfg=AugmentConfig() if augmented else None)
+    pipe = make_pipeline(name, 3, seed=6)
+    ref = make_pipeline(name, 3, seed=6)
+    _, history = train(pipe, dataset, cfg)
+    assert history == reference_train(ref, dataset, cfg)
+    for pname, p in pipe.net.params.items():
+        assert np.array_equal(p, ref.net.params[pname])
 
 
 # ---------------------------------------------------------------------------

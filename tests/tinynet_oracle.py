@@ -1,0 +1,76 @@
+"""Frozen copy of TinyNet's convolution kernels as they were before the
+im2col matmul rewrite in cloudmap.net: einsum contractions over the
+sliding-window view, with one einsum per window offset for the input
+gradient. Tests use it as an oracle: the rewrite must reproduce its
+logits and gradients within a stated tolerance. The layers around the
+convolutions come from cloudmap.net. Do not optimize this file.
+"""
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from cloudmap.net import (_avgpool_entry, _avgpool_entry_back, _maxpool,
+                          _maxpool_back, _relu)
+
+
+def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    h, wd, ci = x.shape
+    xp = np.zeros((h + 2, wd + 2, ci))
+    xp[1:-1, 1:-1] = x
+    win = sliding_window_view(xp, (3, 3), axis=(0, 1))  # (h, wd, ci, 3, 3)
+    out = np.einsum("hwcij,cijo->hwo", win, w, optimize=True) + b
+    return out, (win, w, x.shape)
+
+
+def _conv_back(d_out: np.ndarray, cache):
+    win, w, x_shape = cache
+    h, wd, ci = x_shape
+    d_w = np.einsum("hwcij,hwo->cijo", win, d_out, optimize=True)
+    d_b = d_out.sum(axis=(0, 1))
+    d_xp = np.zeros((h + 2, wd + 2, ci))
+    for i in range(3):
+        for j in range(3):
+            d_xp[i:i + h, j:j + wd] += np.einsum(
+                "hwo,co->hwc", d_out, w[:, i, j, :], optimize=True)
+    return d_xp[1:-1, 1:-1], d_w, d_b
+
+
+def _forward_cached(params: dict, x: np.ndarray, downsample: int):
+    p = params
+    caches = {}
+    x0, caches["pool0"] = _avgpool_entry(x, downsample)
+    a = x0
+    for i in (1, 2, 3):
+        a, caches[f"conv{i}"] = _conv(a, p[f"conv{i}_w"], p[f"conv{i}_b"])
+        a, caches[f"relu{i}"] = _relu(a)
+        a, caches[f"max{i}"] = _maxpool(a)
+    caches["gap_shape"] = a.shape
+    feat = a.mean(axis=(0, 1))
+    caches["feat"] = feat
+    logits = feat @ p["fc_w"] + p["fc_b"]
+    return logits, caches
+
+
+def loss_and_grad(params: dict, x: np.ndarray, label: int, downsample: int = 1):
+    """(logits, loss, parameter gradients, input gradient)."""
+    p = params
+    logits, caches = _forward_cached(p, np.asarray(x, dtype=np.float64), downsample)
+
+    zmax = logits.max()
+    lse = zmax + np.log(np.exp(logits - zmax).sum())
+    loss = float(lse - logits[label])
+    d_logits = np.exp(logits - lse)
+    d_logits[label] -= 1.0
+
+    grads = {}
+    grads["fc_w"] = np.outer(caches["feat"], d_logits)
+    grads["fc_b"] = d_logits.copy()
+    d_feat = p["fc_w"] @ d_logits
+    gh, gw, _ = caches["gap_shape"]
+    d_a = np.broadcast_to(d_feat / (gh * gw), caches["gap_shape"]).copy()
+    for i in (3, 2, 1):
+        d_a = _maxpool_back(d_a, caches[f"max{i}"])
+        d_a = d_a * caches[f"relu{i}"]
+        d_a, grads[f"conv{i}_w"], grads[f"conv{i}_b"] = _conv_back(d_a, caches[f"conv{i}"])
+    d_input = _avgpool_entry_back(d_a, caches["pool0"])
+    return logits, loss, grads, d_input
