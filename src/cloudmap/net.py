@@ -3,12 +3,15 @@ backpropagation, Adam with decoupled weight decay, a step learning-rate
 schedule, a training loop over mapped point clouds, and accuracy metrics.
 
 Layout is channels-last (H, W, C); conv weights are (C_in, 3, 3, C_out).
-Each convolution and its weight and input gradients are plain matmuls
-over an im2col matrix of 3x3 windows; train skips conv1's input
-gradient, which only attacks read. Pipelines hand the net inputs of at
-most 64x64 pixels. forward and loss_and_grad can also average-pool by
-an integer downsample factor before the first conv; the pooling is
-differentiable, so input gradients come back at the original resolution.
+Each block is conv -> 2x2 max pool -> ReLU. ReLU is monotone, so this
+equals the usual conv -> ReLU -> max pool, with the ReLU applied to a
+quarter of the values. Each convolution and its weight and input
+gradients are plain matmuls over an im2col matrix of 3x3 windows; train
+skips conv1's input gradient, which only attacks read. Pipelines hand
+the net inputs of at most 64x64 pixels. forward and loss_and_grad can
+also average-pool by an integer downsample factor before the first conv;
+the pooling is differentiable, so input gradients come back at the
+original resolution.
 """
 
 import csv
@@ -45,7 +48,9 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 
 
 class TinyNet:
-    """3x [conv3x3 same + relu + maxpool2x2] -> global avg pool -> linear."""
+    """3x [conv3x3 same -> maxpool2x2 -> relu] -> global avg pool -> linear.
+    Pooling before the ReLU gives the same outputs and gradients as
+    pooling after it, since max commutes with the monotone ReLU."""
 
     def __init__(self, c_in: int, num_classes: int, seed: int = 0):
         self.c_in = c_in
@@ -142,61 +147,59 @@ def _conv_back(d_out: np.ndarray, cache, input_grad: bool):
     return d_xp[1:-1, 1:-1], d_w, d_b
 
 
-def _relu(x: np.ndarray):
-    mask = x > 0.0
-    return x * mask, mask
+def _pool_views(a: np.ndarray) -> list:
+    """The 2x2 windows of an (H, W, C) array as four strided views in
+    row-major (0,0), (0,1), (1,0), (1,1) order, the trailing odd row and
+    column dropped. An array 1 pixel high or wide is its own single view."""
+    h, w = a.shape[0] // 2 * 2, a.shape[1] // 2 * 2
+    if h == 0 or w == 0:
+        return [a]
+    return [a[i:h:2, j:w:2] for i in (0, 1) for j in (0, 1)]
 
 
-def _maxpool(x: np.ndarray):
-    """2x2, stride 2, trailing odd row/col dropped. First max wins ties.
-    Inputs already down to 1 pixel in either dimension pass through."""
-    h, w, c = x.shape
-    h2, w2 = h // 2, w // 2
-    if h2 == 0 or w2 == 0:
-        return x, None
-    xr = x[:2 * h2, :2 * w2].reshape(h2, 2, w2, 2, c)
-    xr = xr.transpose(0, 2, 4, 1, 3).reshape(h2, w2, c, 4)
-    idx = xr.argmax(axis=-1)
-    out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
-    return out, (idx, x.shape)
+def _pool_relu(x: np.ndarray):
+    """ReLU of the 2x2 stride-2 max pool; equal to the max pool of the ReLU,
+    since ReLU is monotone. Inputs 1 pixel high or wide are not pooled."""
+    views = _pool_views(x)
+    m = views[0]
+    for v in views[1:]:
+        m = np.maximum(m, v)
+    out = np.maximum(m, 0.0)
+    return out, (x, out)
 
 
-def _maxpool_back(d_out: np.ndarray, cache) -> np.ndarray:
-    if cache is None:
-        return d_out
-    idx, x_shape = cache
-    h, w, c = x_shape
-    h2, w2 = h // 2, w // 2
-    scattered = np.zeros((h2, w2, c, 4))
-    np.put_along_axis(scattered, idx[..., None], d_out[..., None], axis=-1)
-    d_x = np.zeros((h, w, c))
-    d_x[:2 * h2, :2 * w2] = scattered.reshape(h2, w2, c, 2, 2) \
-        .transpose(0, 3, 1, 4, 2).reshape(2 * h2, 2 * w2, c)
+def _pool_relu_back(d_out: np.ndarray, cache) -> np.ndarray:
+    """Each window's gradient goes to its first maximum in view order, and
+    only where the pooled value is positive."""
+    x, out = cache
+    d_x = np.zeros(x.shape)
+    g = d_out * (out > 0.0)  # the gradient of windows not yet routed
+    for v, d_v in zip(_pool_views(x), _pool_views(d_x)):
+        np.multiply(g, v == out, out=d_v)
+        g -= d_v
     return d_x
 
 
-def _forward_cached(net: TinyNet, x: np.ndarray, downsample: int):
-    p = net.params
-    caches = {}
-    x0, caches["pool0"] = _avgpool_entry(x, downsample)
-    a = x0
-    for i in (1, 2, 3):
-        a, caches[f"conv{i}"] = _conv(a, p[f"conv{i}_w"], p[f"conv{i}_b"])
-        a, caches[f"relu{i}"] = _relu(a)
-        a, caches[f"max{i}"] = _maxpool(a)
-    caches["gap_shape"] = a.shape
-    feat = a.mean(axis=(0, 1))
-    caches["feat"] = feat
-    logits = feat @ p["fc_w"] + p["fc_b"]
-    return logits, caches
-
-
-def forward(net: TinyNet, image, downsample: int = 1) -> np.ndarray:
+def _forward_cached(net: TinyNet, image, downsample: int):
+    """Logits and the caches of the entry pool, each block's conv and
+    pool, the last block's shape and the pooled features."""
     x = np.asarray(image, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != net.c_in:
         raise ValueError(f"expected (H, W, {net.c_in}) input, got {x.shape}")
-    logits, _ = _forward_cached(net, x, downsample)
-    return logits
+    p = net.params
+    a, entry = _avgpool_entry(x, downsample)
+    blocks = []
+    for i in (1, 2, 3):
+        a, conv = _conv(a, p[f"conv{i}_w"], p[f"conv{i}_b"])
+        a, pool = _pool_relu(a)
+        blocks.append((conv, pool))
+    feat = a.mean(axis=(0, 1))
+    logits = feat @ p["fc_w"] + p["fc_b"]
+    return logits, (entry, blocks, a.shape, feat)
+
+
+def forward(net: TinyNet, image, downsample: int = 1) -> np.ndarray:
+    return _forward_cached(net, image, downsample)[0]
 
 
 def loss_and_grad(net: TinyNet, image, label: int, downsample: int = 1):
@@ -209,13 +212,10 @@ def _loss_and_grads(net: TinyNet, image, label: int, downsample: int,
                     input_grad: bool):
     """loss_and_grad; without input_grad, conv1's input gradient is never
     computed and d_input is None."""
-    x = np.asarray(image, dtype=np.float64)
-    if x.ndim != 3 or x.shape[2] != net.c_in:
-        raise ValueError(f"expected (H, W, {net.c_in}) input, got {x.shape}")
     if not 0 <= label < net.num_classes:
         raise ValueError(f"label {label} out of range")
     p = net.params
-    logits, caches = _forward_cached(net, x, downsample)
+    logits, (entry, blocks, gap_shape, feat) = _forward_cached(net, image, downsample)
 
     zmax = logits.max()
     lse = zmax + np.log(np.exp(logits - zmax).sum())
@@ -224,17 +224,17 @@ def _loss_and_grads(net: TinyNet, image, label: int, downsample: int,
     d_logits[label] -= 1.0
 
     grads = {}
-    grads["fc_w"] = np.outer(caches["feat"], d_logits)
+    grads["fc_w"] = np.outer(feat, d_logits)
     grads["fc_b"] = d_logits.copy()
     d_feat = p["fc_w"] @ d_logits
-    gh, gw, _ = caches["gap_shape"]
-    d_a = np.broadcast_to(d_feat / (gh * gw), caches["gap_shape"]).copy()
+    gh, gw, _ = gap_shape
+    d_a = np.broadcast_to(d_feat / (gh * gw), gap_shape)
     for i in (3, 2, 1):
-        d_a = _maxpool_back(d_a, caches[f"max{i}"])
-        d_a = d_a * caches[f"relu{i}"]
+        conv, pool = blocks[i - 1]
+        d_a = _pool_relu_back(d_a, pool)
         d_a, grads[f"conv{i}_w"], grads[f"conv{i}_b"] = _conv_back(
-            d_a, caches[f"conv{i}"], input_grad or i > 1)
-    d_input = _avgpool_entry_back(d_a, caches["pool0"]) if input_grad else None
+            d_a, conv, input_grad or i > 1)
+    d_input = _avgpool_entry_back(d_a, entry) if input_grad else None
     return loss, grads, d_input
 
 

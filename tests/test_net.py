@@ -6,9 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cloudmap.cloud import SYNTH_KINDS, AugmentConfig, augment, synth_shape
-from cloudmap.net import (TinyNet, TrainConfig, _window_sum, adam_step, evaluate,
-                          forward, init_adam_state, load_checkpoint, loss_and_grad,
-                          lr_at, save_checkpoint, train, write_loss_history)
+from cloudmap.net import (TinyNet, TrainConfig, _pool_relu, _pool_relu_back,
+                          _window_sum, adam_step, evaluate, forward, init_adam_state,
+                          load_checkpoint, loss_and_grad, lr_at, save_checkpoint,
+                          train, write_loss_history)
 from cloudmap.pipeline import make_pipeline
 
 import tinynet_oracle
@@ -133,6 +134,28 @@ def test_window_sum_equals_frozen_reshape_sum(f, c, hq, hr, wq, wr, kind, seed):
     assert got.shape == want.shape and np.array_equal(got, want)
     if kind in ("zero", "occupancy"):  # integer sums are exact in any order
         assert np.array_equal(got, reshape_window_sum(x, f))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.sampled_from((1, 16)),
+       st.integers(0, 2**32 - 1))
+@example(1, 1, 1, 0)
+@example(1, 7, 16, 1)
+@example(7, 1, 1, 2)
+@example(5, 9, 16, 3)
+@example(8, 6, 1, 4)
+def test_pool_relu_equals_frozen_relu_then_maxpool(h, w, c, seed):
+    # small integers, so that ties, zeros and all-negative windows are common
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, (h, w, c)).astype(np.float64)
+    relu_x, mask = tinynet_oracle._relu(x)
+    want, pool_cache = tinynet_oracle._maxpool(relu_x)
+    got, cache = _pool_relu(x)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    d = rng.integers(-2, 3, got.shape).astype(np.float64)
+    want_d = tinynet_oracle._maxpool_back(d, pool_cache) * mask
+    got_d = _pool_relu_back(d, cache)
+    assert got_d.shape == want_d.shape and np.array_equal(got_d, want_d)
 
 
 def test_forward_accepts_tiny_input():

@@ -1,16 +1,52 @@
-"""Frozen copy of TinyNet's convolution kernels as they were before the
-im2col matmul rewrite in cloudmap.net: einsum contractions over the
+"""Frozen copy of TinyNet's layers as they were before two rewrites in
+cloudmap.net. The convolutions are einsum contractions over the
 sliding-window view, with one einsum per window offset for the input
-gradient. Tests use it as an oracle: the rewrite must reproduce its
-logits and gradients within a stated tolerance. The layers around the
-convolutions come from cloudmap.net. Do not optimize this file.
+gradient, as before the im2col matmul rewrite. Each block applies ReLU
+and then a 2x2 max pool through argmax over a transposed window copy, as
+before the pool-then-ReLU rewrite. Tests use it as an oracle: the
+rewrites must reproduce its logits and gradients within a stated
+tolerance, and the pool-then-ReLU block must equal _maxpool(_relu(x))
+exactly. Only the entry average pool comes from cloudmap.net. Do not
+optimize this file.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from cloudmap.net import (_avgpool_entry, _avgpool_entry_back, _maxpool,
-                          _maxpool_back, _relu)
+from cloudmap.net import _avgpool_entry, _avgpool_entry_back
+
+
+def _relu(x: np.ndarray):
+    mask = x > 0.0
+    return x * mask, mask
+
+
+def _maxpool(x: np.ndarray):
+    """2x2, stride 2, trailing odd row/col dropped. First max wins ties.
+    Inputs already down to 1 pixel in either dimension pass through."""
+    h, w, c = x.shape
+    h2, w2 = h // 2, w // 2
+    if h2 == 0 or w2 == 0:
+        return x, None
+    xr = x[:2 * h2, :2 * w2].reshape(h2, 2, w2, 2, c)
+    xr = xr.transpose(0, 2, 4, 1, 3).reshape(h2, w2, c, 4)
+    idx = xr.argmax(axis=-1)
+    out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
+    return out, (idx, x.shape)
+
+
+def _maxpool_back(d_out: np.ndarray, cache) -> np.ndarray:
+    if cache is None:
+        return d_out
+    idx, x_shape = cache
+    h, w, c = x_shape
+    h2, w2 = h // 2, w // 2
+    scattered = np.zeros((h2, w2, c, 4))
+    np.put_along_axis(scattered, idx[..., None], d_out[..., None], axis=-1)
+    d_x = np.zeros((h, w, c))
+    d_x[:2 * h2, :2 * w2] = scattered.reshape(h2, w2, c, 2, 2) \
+        .transpose(0, 3, 1, 4, 2).reshape(2 * h2, 2 * w2, c)
+    return d_x
 
 
 def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray):
