@@ -96,6 +96,8 @@ def validate_config(cfg: dict) -> None:
         raise ValueError(f"unknown pipeline {cfg['pipeline']!r}")
     ds = cfg["dataset"]
     if ds["type"] == "synthetic":
+        if not ds["classes"]:
+            raise ValueError("dataset.classes must name at least one shape kind")
         bad = [k for k in ds["classes"] if k not in SYNTH_KINDS]
         if bad:
             raise ValueError(f"unknown shape kinds {bad}")
@@ -122,6 +124,8 @@ def validate_config(cfg: dict) -> None:
     tr = cfg["train"]
     if tr["epochs"] < 1 or tr["batch_size"] < 1:
         raise ValueError("epochs and batch_size must be >= 1")
+    if tr["lr_step"] < 1:
+        raise ValueError("train.lr_step must be >= 1")
     if cfg["epsilon"] < 0:
         raise ValueError("epsilon must be >= 0")
 

@@ -59,6 +59,9 @@ class GridEmbedding:
 # ---------------------------------------------------------------------------
 # balanced KMeans
 
+KMEANS_ITERS = 50  # Lloyd iterations at most, before rebalancing
+
+
 def _kmeanspp_init(pts: np.ndarray, k: int, rng) -> np.ndarray:
     n = len(pts)
     centers = np.empty((k, 3))
@@ -93,7 +96,7 @@ def check_cloud_size(n: int, k: int = 32, alpha: float = 1.2, grid: int = 16) ->
 
 
 def balanced_kmeans(cloud: PointCloud, k: int = 32, alpha: float = 1.2,
-                    seed: int = 0, max_iters: int = 50) -> ClusterHierarchy:
+                    seed: int = 0) -> ClusterHierarchy:
     """Lloyd iterations (kmeans++ init) followed by rebalancing.
 
     While any cluster exceeds the cap ceil(alpha*N/k), its member farthest
@@ -109,7 +112,7 @@ def balanced_kmeans(cloud: PointCloud, k: int = 32, alpha: float = 1.2,
     centers = _kmeanspp_init(pts, k, rng)
 
     assign = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iters):
+    for _ in range(KMEANS_ITERS):
         d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
         new_assign = d2.argmin(1)
         if np.array_equal(new_assign, assign):
@@ -447,6 +450,9 @@ def delaunay_oracle(points: np.ndarray) -> Graph:
 # ---------------------------------------------------------------------------
 # grid embedding
 
+GRID_PASSES = 1000  # local-search passes at most per graph
+
+
 def _snap_targets(positions: np.ndarray, gs: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid targets (M, 2) of an (M, 3) vertex set and the order it snaps
     in: the two principal components, sign-fixed and stretched over the
@@ -508,8 +514,7 @@ def _initial_cells(targets: np.ndarray, order: np.ndarray, sizes: np.ndarray,
     return flat
 
 
-def grid_embed_many(graphs: list, positions: list, grid_size: int = 16,
-                    max_passes: int = 1000) -> list:
+def grid_embed_many(graphs: list, positions: list, grid_size: int = 16) -> list:
     """Injective assignments of the vertices of every graph to the cells of
     its own grid_size x grid_size grid, all run in lockstep.
 
@@ -521,7 +526,7 @@ def grid_embed_many(graphs: list, positions: list, grid_size: int = 16,
     energy after each pass is recorded in the embedding's energy_trace, and
     a graph stops after a pass without improvement. Step (pass p, vertex u)
     makes that visit in every graph still running, so each graph gets the
-    layout it would get alone.
+    layout it would get alone. No graph runs more than GRID_PASSES passes.
 
     Manhattan distance splits into a row and a column part, so the search
     keeps two integer tables over padded vertices w and grid lines i:
@@ -592,7 +597,7 @@ def grid_embed_many(graphs: list, positions: list, grid_size: int = 16,
 
     traces = [[int(e)] for e in energy(np.arange(n))]
     running = deg.any(1)  # a graph without edges keeps its snapped cells
-    for _ in range(max_passes):
+    for _ in range(GRID_PASSES):
         if not running.any():
             break
         improved = np.zeros(n, dtype=bool)
@@ -642,20 +647,20 @@ def grid_embed_many(graphs: list, positions: list, grid_size: int = 16,
 
 
 def grid_embed(graph: Graph, positions: np.ndarray, grid_size: int = 16,
-               seed: int = 0, max_passes: int = 1000) -> GridEmbedding:
+               seed: int = 0) -> GridEmbedding:
     """grid_embed_many of one graph. The layout is deterministic; seed is
     accepted for call compatibility and unused."""
-    return grid_embed_many([graph], [positions], grid_size, max_passes)[0]
+    return grid_embed_many([graph], [positions], grid_size)[0]
 
 
 # ---------------------------------------------------------------------------
 # hierarchy assembly and drawing
 
 def build_hierarchy(cloud: PointCloud, k: int = 32, alpha: float = 1.2,
-                    seed: int = 0, max_iters: int = 50) -> ClusterHierarchy:
+                    seed: int = 0) -> ClusterHierarchy:
     """Cluster the cloud and attach both Delaunay levels, all triangulated
     in one delaunay3_many call."""
-    h = balanced_kmeans(cloud, k=k, alpha=alpha, seed=seed, max_iters=max_iters)
+    h = balanced_kmeans(cloud, k=k, alpha=alpha, seed=seed)
     graphs = iter(delaunay3_many(
         [h.centers] + [cloud.points[mem] for mem in h.members if len(mem) >= 2]))
     h.top_edges = next(graphs)
@@ -690,11 +695,11 @@ def draw_image(cloud: PointCloud, hierarchy: ClusterHierarchy,
 
 
 def map_graphdraw(cloud: PointCloud, k: int = 32, alpha: float = 1.2,
-                  grid: int = 16, seed: int = 0, max_iters: int = 50) -> MappedImage:
+                  grid: int = 16, seed: int = 0) -> MappedImage:
     """Full pipeline: cluster, triangulate both levels, embed every graph
     in one grid_embed_many call, draw."""
     check_cloud_size(cloud.n, k=k, alpha=alpha, grid=grid)
-    h = build_hierarchy(cloud, k=k, alpha=alpha, seed=seed, max_iters=max_iters)
+    h = build_hierarchy(cloud, k=k, alpha=alpha, seed=seed)
     filled = [i for i, mem in enumerate(h.members) if len(mem)]
     embeds = iter(grid_embed_many(
         [h.top_edges] + [h.within_edges[i] for i in filled],

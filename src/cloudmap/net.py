@@ -24,6 +24,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .cloud import AugmentConfig, augment
 
 HIDDEN = 16
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 PARAM_ORDER = ("conv1_w", "conv1_b", "conv2_w", "conv2_b",
                "conv3_w", "conv3_b", "fc_w", "fc_b")
 
@@ -34,7 +36,6 @@ class TrainConfig:
     lr: float = 0.001
     lr_step: int = 20
     lr_gamma: float = 0.7
-    betas: tuple = (0.9, 0.999)
     weight_decay: float = 0.0001
     batch_size: int = 16
     seed: int = 0
@@ -247,14 +248,14 @@ def init_adam_state(net: TinyNet) -> dict:
 
 
 def adam_step(params: dict, grads: dict, state: dict, cfg: TrainConfig,
-              t: int, lr: float | None = None, eps: float = 1e-8) -> None:
+              t: int, lr: float | None = None) -> None:
     """In-place Adam update with bias correction; weight decay is applied
     decoupled from the moment estimates."""
     if t < 1:
         raise ValueError("t must be >= 1")
     if lr is None:
         lr = cfg.lr
-    b1, b2 = cfg.betas
+    b1, b2 = ADAM_BETAS
     for name, p in params.items():
         g = grads[name]
         m, v = state[name]
@@ -264,7 +265,7 @@ def adam_step(params: dict, grads: dict, state: dict, cfg: TrainConfig,
         v += (1.0 - b2) * g * g
         mhat = m / (1.0 - b1 ** t)
         vhat = v / (1.0 - b2 ** t)
-        p -= lr * (mhat / (np.sqrt(vhat) + eps) + cfg.weight_decay * p)
+        p -= lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + cfg.weight_decay * p)
 
 
 # ---------------------------------------------------------------------------

@@ -61,13 +61,12 @@ class MappedImage:
 
 def _pixel_coords(points: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Floor mapping from world (x, y) to (row, col); y grows upward in the
-    world, row index grows downward. Out-of-bounds points land on pixel (0, 0)."""
-    rows = np.floor((1.0 - points[:, 1]) / 2.0 * size).astype(np.int64)
-    cols = np.floor((points[:, 0] + 1.0) / 2.0 * size).astype(np.int64)
-    oob = (rows < 0) | (rows >= size) | (cols < 0) | (cols >= size)
-    rows[oob] = 0
-    cols[oob] = 0
-    return rows, cols
+    world, row index grows downward. Out-of-frame points clamp to the
+    border: rows and columns are clipped to [0, size - 1]."""
+    rows = np.floor((1.0 - points[:, 1]) / 2.0 * size)
+    cols = np.floor((points[:, 0] + 1.0) / 2.0 * size)
+    return (np.clip(rows, 0, size - 1).astype(np.int64),
+            np.clip(cols, 0, size - 1).astype(np.int64))
 
 
 def basic_project(cloud: PointCloud, size: int = 456) -> MappedImage:

@@ -149,6 +149,21 @@ def test_repeated_synthetic_kinds_are_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["dataset", "train"])
+@pytest.mark.parametrize("updates, message", [
+    ({"train": {"lr_step": 0}}, "train.lr_step must be >= 1"),
+    ({"train": {"lr_step": -3}}, "train.lr_step must be >= 1"),
+    ({"dataset": {"classes": []}}, "dataset.classes must name at least one shape kind"),
+])
+def test_config_that_would_fail_late_is_a_config_error(tmp_path, capsys, command,
+                                                       updates, message):
+    path = write_config(tmp_path, **updates)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_exits_nonzero(tmp_path, capsys):
     path = write_config(tmp_path, dataset={"points": 8})
     rc = main(["dataset", "--config", path, "--out", str(tmp_path / "out")])

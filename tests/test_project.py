@@ -4,6 +4,7 @@ import pytest
 from cloudmap.cloud import SYNTH_KINDS, AugmentConfig, PointCloud, augment, synth_shape
 from cloudmap.project import (GradPath, MappedImage, basic_project,
                               basic_project_leaky, cloud_key, remap_frozen)
+from cloudmap.render import zbuffer
 
 
 def cloud_of(points, label=None):
@@ -35,10 +36,31 @@ def test_pixel_mapping_corners():
     assert img.data[0, 0, 0] == 1.0
 
 
-def test_out_of_bounds_goes_to_origin_pixel():
+def test_far_out_of_frame_point_clamps_to_corner():
+    # above and right of the frame: row clamps to 0, column to size - 1
     img = basic_project(cloud_of([[5.0, 5.0, 0.0]]), size=16)
-    assert img.data[0, 0, 0] == 1.0
+    assert img.data[0, 15, 0] == 1.0
     assert img.data.sum() == 1.0
+
+
+@pytest.mark.parametrize("mapper", ["basic", "leaky", "zbuffer"])
+def test_out_of_frame_point_clamps_to_border_column(mapper):
+    # x = 1.3 lies right of the frame; the point keeps its row (y = 0 maps
+    # to row size / 2) and lands on the last column, not on pixel (0, 0)
+    cloud = cloud_of([[1.3, 0.0, 0.0]])
+    if mapper == "zbuffer":
+        img = zbuffer(cloud)
+    else:
+        img = (basic_project if mapper == "basic" else basic_project_leaky)(cloud)
+    size = img.width
+    lit = np.argwhere(img.data.any(axis=2))
+    assert img.data[size // 2, size - 1].any()
+    assert lit[:, 1].min() >= size - 2  # a zbuffer splat reaches one column in
+    assert not img.data[0, 0].any()
+    if mapper == "leaky":
+        assert img.data[size // 2, size - 1].tolist() == [1.0, 0.5, 0.5]
+        assert np.array_equal(np.unique(img.leak_map[:, :2], axis=0),
+                              [[size // 2, size - 1]])
 
 
 def test_empty_cloud_rejected():
@@ -88,9 +110,8 @@ def leaky_loop_oracle(cloud, size):
     cols = np.floor((cloud.points[:, 0] + 1.0) / 2.0 * size).astype(np.int64)
     winner = {}
     for i in range(cloud.n):
-        r, c = int(rows[i]), int(cols[i])
-        if not (0 <= r < size and 0 <= c < size):
-            r, c = 0, 0
+        r = min(max(int(rows[i]), 0), size - 1)  # out of frame: clamp to the border
+        c = min(max(int(cols[i]), 0), size - 1)
         winner[(r, c)] = i
     data = np.zeros((size, size, 3))
     links = set()

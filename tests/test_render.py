@@ -92,9 +92,10 @@ def test_zbuffer_splat_one():
 
 
 def test_zbuffer_edge_splat_clipped():
-    # a point projecting to the border must not wrap or crash
+    # a point projecting to the border must not wrap or crash; y = -1 is
+    # one row below the frame and clamps to the last row
     img = zbuffer(one_point_cloud(x=-1.0, y=-1.0, z=0.0), ZBufferConfig())
-    assert img.data[0, 0, 0] > 0.0
+    assert img.data[312, 0, 0] > 0.0
     assert img.data.shape == (313, 313, 1)
 
 
