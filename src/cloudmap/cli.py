@@ -122,10 +122,8 @@ def validate_config(cfg: dict) -> None:
     if cfg["pipeline"] == "graphdraw":
         check_cloud_size(ds.get("points", 1024))
     tr = cfg["train"]
-    if tr["epochs"] < 1 or tr["batch_size"] < 1:
-        raise ValueError("epochs and batch_size must be >= 1")
-    if tr["lr_step"] < 1:
-        raise ValueError("train.lr_step must be >= 1")
+    if tr["epochs"] < 1 or tr["batch_size"] < 1 or tr["lr_step"] < 1:
+        raise ValueError("epochs, batch_size and lr_step must be >= 1")
     if cfg["epsilon"] < 0:
         raise ValueError("epsilon must be >= 0")
 

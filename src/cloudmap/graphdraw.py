@@ -22,6 +22,10 @@ import numpy as np
 from .cloud import PointCloud
 from .project import MappedImage, leaky_image
 
+KMEANS_ITERS = 50  # Lloyd iterations at most, before rebalancing
+GRID_PASSES = 1000  # local-search passes at most per graph
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph: vertex count plus canonical (u < v) edge pairs."""
@@ -58,9 +62,6 @@ class GridEmbedding:
 
 # ---------------------------------------------------------------------------
 # balanced KMeans
-
-KMEANS_ITERS = 50  # Lloyd iterations at most, before rebalancing
-
 
 def _kmeanspp_init(pts: np.ndarray, k: int, rng) -> np.ndarray:
     n = len(pts)
@@ -450,9 +451,6 @@ def delaunay_oracle(points: np.ndarray) -> Graph:
 # ---------------------------------------------------------------------------
 # grid embedding
 
-GRID_PASSES = 1000  # local-search passes at most per graph
-
-
 def _snap_targets(positions: np.ndarray, gs: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid targets (M, 2) of an (M, 3) vertex set and the order it snaps
     in: the two principal components, sign-fixed and stretched over the
@@ -526,7 +524,7 @@ def grid_embed_many(graphs: list, positions: list, grid_size: int = 16) -> list:
     energy after each pass is recorded in the embedding's energy_trace, and
     a graph stops after a pass without improvement. Step (pass p, vertex u)
     makes that visit in every graph still running, so each graph gets the
-    layout it would get alone. No graph runs more than GRID_PASSES passes.
+    layout it would get alone.
 
     Manhattan distance splits into a row and a column part, so the search
     keeps two integer tables over padded vertices w and grid lines i:

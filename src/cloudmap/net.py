@@ -3,20 +3,19 @@ backpropagation, Adam with decoupled weight decay, a step learning-rate
 schedule, a training loop over mapped point clouds, and accuracy metrics.
 
 Layout is channels-last (H, W, C); conv weights are (C_in, 3, 3, C_out).
-Each block is conv -> 2x2 max pool -> ReLU. ReLU is monotone, so this
-equals the usual conv -> ReLU -> max pool, with the ReLU applied to a
-quarter of the values. Each convolution and its weight and input
-gradients are plain matmuls over an im2col matrix of 3x3 windows; train
-skips conv1's input gradient, which only attacks read. Pipelines hand
-the net inputs of at most 64x64 pixels. forward and loss_and_grad can
-also average-pool by an integer downsample factor before the first conv;
-the pooling is differentiable, so input gradients come back at the
-original resolution.
+Each convolution and its weight and input gradients are plain matmuls
+over an im2col matrix of 3x3 windows; train skips conv1's input
+gradient, which only attacks read. Each block then max-pools and applies
+ReLU, which equals ReLU before the pool, as ReLU is monotone. Pipelines
+hand the net inputs of at most 64x64 pixels. forward and loss_and_grad
+can also average-pool by an integer downsample factor before the first
+conv; it is differentiable, so input gradients come back at full size.
 """
 
 import csv
 import json
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -49,9 +48,8 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 
 
 class TinyNet:
-    """3x [conv3x3 same -> maxpool2x2 -> relu] -> global avg pool -> linear.
-    Pooling before the ReLU gives the same outputs and gradients as
-    pooling after it, since max commutes with the monotone ReLU."""
+    """3x [conv3x3 same -> maxpool2x2 -> relu] -> global avg pool -> linear;
+    max pooling commutes with the monotone ReLU, so the order is free."""
 
     def __init__(self, c_in: int, num_classes: int, seed: int = 0):
         self.c_in = c_in
@@ -149,9 +147,8 @@ def _conv_back(d_out: np.ndarray, cache, input_grad: bool):
 
 
 def _pool_views(a: np.ndarray) -> list:
-    """The 2x2 windows of an (H, W, C) array as four strided views in
-    row-major (0,0), (0,1), (1,0), (1,1) order, the trailing odd row and
-    column dropped. An array 1 pixel high or wide is its own single view."""
+    """2x2 windows as strided views in row-major (0,0), (0,1), (1,0), (1,1) order,
+    odd trailing row and column dropped; a 1-pixel-thin array is its own view."""
     h, w = a.shape[0] // 2 * 2, a.shape[1] // 2 * 2
     if h == 0 or w == 0:
         return [a]
@@ -159,13 +156,8 @@ def _pool_views(a: np.ndarray) -> list:
 
 
 def _pool_relu(x: np.ndarray):
-    """ReLU of the 2x2 stride-2 max pool; equal to the max pool of the ReLU,
-    since ReLU is monotone. Inputs 1 pixel high or wide are not pooled."""
-    views = _pool_views(x)
-    m = views[0]
-    for v in views[1:]:
-        m = np.maximum(m, v)
-    out = np.maximum(m, 0.0)
+    """ReLU of the 2x2 stride-2 max pool over _pool_views."""
+    out = np.maximum(reduce(np.maximum, _pool_views(x)), 0.0)
     return out, (x, out)
 
 
@@ -182,8 +174,7 @@ def _pool_relu_back(d_out: np.ndarray, cache) -> np.ndarray:
 
 
 def _forward_cached(net: TinyNet, image, downsample: int):
-    """Logits and the caches of the entry pool, each block's conv and
-    pool, the last block's shape and the pooled features."""
+    """Logits, and the entry pool's, each block's and the head's caches."""
     x = np.asarray(image, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != net.c_in:
         raise ValueError(f"expected (H, W, {net.c_in}) input, got {x.shape}")
@@ -224,9 +215,7 @@ def _loss_and_grads(net: TinyNet, image, label: int, downsample: int,
     d_logits = np.exp(logits - lse)
     d_logits[label] -= 1.0
 
-    grads = {}
-    grads["fc_w"] = np.outer(feat, d_logits)
-    grads["fc_b"] = d_logits.copy()
+    grads = {"fc_w": np.outer(feat, d_logits), "fc_b": d_logits.copy()}
     d_feat = p["fc_w"] @ d_logits
     gh, gw, _ = gap_shape
     d_a = np.broadcast_to(d_feat / (gh * gw), gap_shape)

@@ -61,8 +61,7 @@ class MappedImage:
 
 def _pixel_coords(points: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Floor mapping from world (x, y) to (row, col); y grows upward in the
-    world, row index grows downward. Out-of-frame points clamp to the
-    border: rows and columns are clipped to [0, size - 1]."""
+    world, row index grows downward. Out-of-frame points clamp to the border."""
     rows = np.floor((1.0 - points[:, 1]) / 2.0 * size)
     cols = np.floor((points[:, 0] + 1.0) / 2.0 * size)
     return (np.clip(rows, 0, size - 1).astype(np.int64),

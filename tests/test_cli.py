@@ -151,8 +151,8 @@ def test_repeated_synthetic_kinds_are_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["dataset", "train"])
 @pytest.mark.parametrize("updates, message", [
-    ({"train": {"lr_step": 0}}, "train.lr_step must be >= 1"),
-    ({"train": {"lr_step": -3}}, "train.lr_step must be >= 1"),
+    ({"train": {"lr_step": 0}}, "epochs, batch_size and lr_step must be >= 1"),
+    ({"train": {"lr_step": -3}}, "epochs, batch_size and lr_step must be >= 1"),
     ({"dataset": {"classes": []}}, "dataset.classes must name at least one shape kind"),
 ])
 def test_config_that_would_fail_late_is_a_config_error(tmp_path, capsys, command,

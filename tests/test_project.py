@@ -43,21 +43,18 @@ def test_far_out_of_frame_point_clamps_to_corner():
     assert img.data.sum() == 1.0
 
 
-@pytest.mark.parametrize("mapper", ["basic", "leaky", "zbuffer"])
+@pytest.mark.parametrize("mapper", [basic_project, basic_project_leaky, zbuffer],
+                         ids=["basic", "leaky", "zbuffer"])
 def test_out_of_frame_point_clamps_to_border_column(mapper):
     # x = 1.3 lies right of the frame; the point keeps its row (y = 0 maps
     # to row size / 2) and lands on the last column, not on pixel (0, 0)
-    cloud = cloud_of([[1.3, 0.0, 0.0]])
-    if mapper == "zbuffer":
-        img = zbuffer(cloud)
-    else:
-        img = (basic_project if mapper == "basic" else basic_project_leaky)(cloud)
+    img = mapper(cloud_of([[1.3, 0.0, 0.0]]))
     size = img.width
     lit = np.argwhere(img.data.any(axis=2))
     assert img.data[size // 2, size - 1].any()
     assert lit[:, 1].min() >= size - 2  # a zbuffer splat reaches one column in
     assert not img.data[0, 0].any()
-    if mapper == "leaky":
+    if mapper is basic_project_leaky:
         assert img.data[size // 2, size - 1].tolist() == [1.0, 0.5, 0.5]
         assert np.array_equal(np.unique(img.leak_map[:, :2], axis=0),
                               [[size // 2, size - 1]])
