@@ -185,26 +185,19 @@ def _super_simplex(pts: np.ndarray) -> np.ndarray:
     return mid + scale * np.array([[0.0, 2.0], [-2.0, -1.5], [2.0, -1.5]])
 
 
-def _grown(a: np.ndarray, n: int, fill) -> np.ndarray:
-    out = np.full((n,) + a.shape[1:], fill, dtype=a.dtype)
-    out[:len(a)] = a
-    return out
-
-
 def _bowyer_watson_many(point_sets: list) -> list:
     """Incremental insertion in lockstep over point sets of one dimension d
     (2 or 3): step s inserts point s of every set that still has one.
 
-    The simplices of all sets live in flat slot arrays: sorted vertex
-    indices into the stacked coordinates (each set's super simplex, then
-    its points), the owning set, circumcentre and squared radius, a live
-    flag and a creation stamp. Dead and unused slots have r2 = -inf, so no
-    point falls inside them; the free slots are reused first. A step finds
-    every live simplex whose circumsphere contains its set's point, and
-    the faces that occur once among them bound the cavity. Stamps order
-    each set's simplices as a list would: survivors first, then the new
-    ones in the order their faces are met. Returns each set's simplices
-    as a (T, d+1) array of indices into that set.
+    The live simplices of all sets are rows of four flat arrays: sorted
+    vertex indices into the stacked coordinates (each set's super simplex,
+    then its points), the owning set, circumcentre and squared radius. A
+    step finds every simplex whose circumsphere contains its set's point;
+    the faces that occur once among them bound the cavity. It drops those
+    rows and appends the new simplices, in the order their faces are met,
+    so each set's rows stay in the order a list would hold: survivors
+    first, then the new ones. Returns each set's simplices as a (T, d+1)
+    array of indices into that set.
     """
     d = point_sets[0].shape[1]
     ns = d + 1
@@ -215,74 +208,44 @@ def _bowyer_watson_many(point_sets: list) -> list:
     n_all = len(coords)
     face_cols = np.array([[j for j in range(ns) if j != k] for k in range(ns)])
 
-    cap = 4 * n_all  # 3-D maps peak at about 5.4 slots per row, so they grow once
-    verts = np.zeros((cap, ns), dtype=np.int64)
-    owner = np.zeros(cap, dtype=np.int64)
-    centers = np.zeros((cap, d))
-    r2 = np.full(cap, -np.inf)
-    live = np.zeros(cap, dtype=bool)
-    stamp = np.zeros(cap, dtype=np.int64)
-    verts[:n_sets] = base[:, None] + np.arange(ns)
-    owner[:n_sets] = np.arange(n_sets)
-    centers[:n_sets], r2[:n_sets] = _circumspheres(coords[verts[:n_sets]])
-    live[:n_sets] = True
-    next_stamp = 1  # super simplices have stamp 0
-    top = n_sets  # slots at and past top were never used
-    free = np.arange(n_sets, cap)
+    verts = base[:, None] + np.arange(ns)
+    owner = np.arange(n_sets)
+    centers, r2 = _circumspheres(coords[verts])
 
     for s in range(int(sizes.max())):
         active = s < sizes
         ip = base + ns + s  # the row each set inserts at this step
         p = coords[np.where(active, ip, 0)]
-        o = owner[:top]
-        dist2 = ((centers[:top] - p[o]) ** 2).sum(-1)
-        bad = (dist2 < r2[:top] * _STRICT) & active[o]
-        for j in np.flatnonzero(active & (np.bincount(o[bad], minlength=n_sets) == 0)):
+        dist2 = ((centers - p[owner]) ** 2).sum(-1)
+        bad = (dist2 < r2 * _STRICT) & active[owner]
+        for j in np.flatnonzero(active & (np.bincount(owner[bad], minlength=n_sets) == 0)):
             # numerical tie everywhere: fall back to the nearest
             # circumsphere, the oldest simplex on a tie
-            cand = np.flatnonzero(live[:top] & (o == j))
-            cand = cand[np.argsort(stamp[cand])]
+            cand = np.flatnonzero(owner == j)
             bad[cand[np.argmin(dist2[cand] - r2[cand])]] = True
 
         b = np.flatnonzero(bad)
-        b = b[np.lexsort((stamp[b], o[b]))]
+        b = b[np.argsort(owner[b], kind="stable")]
         faces = verts[b][:, face_cols].reshape(-1, d)
         keys = faces[:, 0]
         for k in range(1, d):
             keys = keys * n_all + faces[:, k]
         _, first, count = np.unique(keys, return_index=True, return_counts=True)
         pos = np.sort(first[count == 1])
-        new_owner = o[b[pos // ns]]
+        new_owner = owner[b[pos // ns]]
         new_verts = np.concatenate([faces[pos], ip[new_owner][:, None]], axis=1)
         new_centers, new_r2 = _circumspheres(coords[new_verts])
 
-        live[b] = False
-        r2[b] = -np.inf
-        free = np.concatenate([b, free])
-        n_new = len(pos)
-        if n_new > len(free):
-            new_cap = 2 * cap + n_new
-            verts, owner, stamp = (_grown(a, new_cap, 0) for a in (verts, owner, stamp))
-            centers = _grown(centers, new_cap, 0.0)
-            r2 = _grown(r2, new_cap, -np.inf)
-            live = _grown(live, new_cap, False)
-            free = np.concatenate([free, np.arange(cap, new_cap)])
-            cap = new_cap
-        slots, free = free[:n_new], free[n_new:]
-        verts[slots] = new_verts
-        owner[slots] = new_owner
-        centers[slots] = new_centers
-        r2[slots] = new_r2
-        live[slots] = True
-        stamp[slots] = next_stamp + np.arange(n_new)
-        next_stamp += n_new
-        top = max(top, int(slots.max()) + 1)
+        keep = ~bad
+        verts = np.concatenate([verts[keep], new_verts])
+        owner = np.concatenate([owner[keep], new_owner])
+        centers = np.concatenate([centers[keep], new_centers])
+        r2 = np.concatenate([r2[keep], new_r2])
 
-    o = owner[:top]
-    keep = np.flatnonzero(live[:top] & (verts[:top, 0] >= base[o] + ns))
-    keep = keep[np.argsort(o[keep], kind="stable")]
-    local = verts[keep] - (base[o[keep]] + ns)[:, None]
-    return np.split(local, np.cumsum(np.bincount(o[keep], minlength=n_sets))[:-1])
+    keep = np.flatnonzero(verts[:, 0] >= base[owner] + ns)
+    keep = keep[np.argsort(owner[keep], kind="stable")]
+    local = verts[keep] - (base[owner[keep]] + ns)[:, None]
+    return np.split(local, np.cumsum(np.bincount(owner[keep], minlength=n_sets))[:-1])
 
 
 def _edges_from_simplices(simplices: np.ndarray, m: int) -> np.ndarray:
