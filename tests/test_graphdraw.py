@@ -235,6 +235,8 @@ def test_lockstep_simplices_match_frozen_copy():
     # Repeated points lie inside no circumsphere, so their insertion takes
     # the nearest-circumsphere fallback; rounded coordinates make its
     # candidates tie, which creation order has to break as the list did.
+    # The rows of all sets interleave, so the sets also run reversed and
+    # split across two calls, which interleave them differently.
     for d in (2, 3):
         rng = np.random.default_rng([72, d])
         sets = [rng.uniform(-1, 1, (int(rng.integers(d + 1, 40)), d)) for _ in range(12)]
@@ -242,8 +244,12 @@ def test_lockstep_simplices_match_frozen_copy():
         for _ in range(12):
             pts = np.round(2 * rng.uniform(-1, 1, (int(rng.integers(d + 1, 20)), d))) / 2
             sets.append(np.vstack([pts, pts[rng.integers(0, len(pts), 4)]]))
-        for pts, simplices in zip(sets, graphdraw._bowyer_watson_many(sets)):
-            assert set(map(tuple, simplices.tolist())) == set(bowyer_watson_oracle(pts))
+        cases = [(i, pts, set(bowyer_watson_oracle(pts))) for i, pts in enumerate(sets)]
+        half = len(cases) // 2
+        for batch in (cases, cases[::-1], cases[:half], cases[half:]):
+            got = graphdraw._bowyer_watson_many([pts for _, pts, _ in batch])
+            for (i, _, want), simplices in zip(batch, got):
+                assert set(map(tuple, simplices.tolist())) == want, (d, i)
 
 
 def test_failed_small_set_falls_back_to_oracle(monkeypatch):
