@@ -1,6 +1,6 @@
 """Graph-drawing mapping: balanced KMeans into clusters, Delaunay
 triangulation at two levels, and a hierarchical grid embedding that writes
-point coordinates into a (grid*grid) x (grid*grid) 3-channel image.
+point coordinates into a (GRID*GRID) x (GRID*GRID) 3-channel image.
 
 The Delaunay edge sets are built by incremental Bowyer-Watson insertion
 (3D tetrahedra, with 2D/1D fallbacks for flat or collinear inputs), run in
@@ -24,6 +24,9 @@ from .project import MappedImage, leaky_image
 
 KMEANS_ITERS = 50  # Lloyd iterations at most, before rebalancing
 GRID_PASSES = 1000  # local-search passes at most per graph
+CLUSTERS = 32  # k-means clusters of a map, one top-grid cell each
+CLUSTER_SLACK = 1.2  # the cluster cap as a multiple of the mean cluster size
+GRID = 16  # side of the top grid and of every within-cluster grid
 
 
 @dataclass(frozen=True)
@@ -83,20 +86,17 @@ def cluster_cap(n: int, k: int, alpha: float) -> int:
     return int(np.ceil(alpha * n / k))
 
 
-def check_cloud_size(n: int, k: int = 32, alpha: float = 1.2, grid: int = 16) -> None:
-    """Raise ValueError unless an n-point cloud fits map_graphdraw's grids:
-    k clusters on the top grid, and clusters at their cap on the
-    within-cluster grids. With the defaults that allows up to 6826 points."""
-    cells = grid * grid
-    if k > cells:
-        raise ValueError(f"{k} clusters do not fit a {grid}x{grid} grid")
-    cap = cluster_cap(n, k, alpha)
+def check_cloud_size(n: int) -> None:
+    """Raise ValueError unless an n-point cloud fits map_graphdraw's
+    within-cluster grids with its clusters at their cap: up to 6826 points."""
+    cells = GRID * GRID
+    cap = cluster_cap(n, CLUSTERS, CLUSTER_SLACK)
     if cap > cells:
         raise ValueError(f"graphdraw cannot map {n} points: clusters of up to {cap} "
-                         f"points do not fit the {cells} cells of a {grid}x{grid} grid")
+                         f"points do not fit the {cells} cells of a {GRID}x{GRID} grid")
 
 
-def balanced_kmeans(cloud: PointCloud, k: int = 32, alpha: float = 1.2,
+def balanced_kmeans(cloud: PointCloud, k: int = CLUSTERS, alpha: float = CLUSTER_SLACK,
                     seed: int = 0) -> ClusterHierarchy:
     """Lloyd iterations (kmeans++ init) followed by rebalancing.
 
@@ -236,7 +236,7 @@ def _bowyer_watson_many(point_sets: list) -> list:
         new_verts = np.concatenate([faces[pos], ip[new_owner][:, None]], axis=1)
         new_centers, new_r2 = _circumspheres(coords[new_verts])
 
-        keep = ~bad
+        keep = np.flatnonzero(~bad)
         verts = np.concatenate([verts[keep], new_verts])
         owner = np.concatenate([owner[keep], new_owner])
         centers = np.concatenate([centers[keep], new_centers])
@@ -475,7 +475,7 @@ def _initial_cells(targets: np.ndarray, order: np.ndarray, sizes: np.ndarray,
     return flat
 
 
-def grid_embed_many(graphs: list, positions: list, grid_size: int = 16) -> list:
+def grid_embed_many(graphs: list, positions: list, grid_size: int = GRID) -> list:
     """Injective assignments of the vertices of every graph to the cells of
     its own grid_size x grid_size grid, all run in lockstep.
 
@@ -607,7 +607,7 @@ def grid_embed_many(graphs: list, positions: list, grid_size: int = 16) -> list:
             for k, (m, trace) in enumerate(zip(sizes, traces))]
 
 
-def grid_embed(graph: Graph, positions: np.ndarray, grid_size: int = 16,
+def grid_embed(graph: Graph, positions: np.ndarray, grid_size: int = GRID,
                seed: int = 0) -> GridEmbedding:
     """grid_embed_many of one graph. The layout is deterministic; seed is
     accepted for call compatibility and unused."""
@@ -617,11 +617,10 @@ def grid_embed(graph: Graph, positions: np.ndarray, grid_size: int = 16,
 # ---------------------------------------------------------------------------
 # hierarchy assembly and drawing
 
-def build_hierarchy(cloud: PointCloud, k: int = 32, alpha: float = 1.2,
-                    seed: int = 0) -> ClusterHierarchy:
+def build_hierarchy(cloud: PointCloud, seed: int = 0) -> ClusterHierarchy:
     """Cluster the cloud and attach both Delaunay levels, all triangulated
     in one delaunay3_many call."""
-    h = balanced_kmeans(cloud, k=k, alpha=alpha, seed=seed)
+    h = balanced_kmeans(cloud, seed=seed)
     graphs = iter(delaunay3_many(
         [h.centers] + [cloud.points[mem] for mem in h.members if len(mem) >= 2]))
     h.top_edges = next(graphs)
@@ -655,18 +654,17 @@ def draw_image(cloud: PointCloud, hierarchy: ClusterHierarchy,
                        np.concatenate(hierarchy.members))
 
 
-def map_graphdraw(cloud: PointCloud, k: int = 32, alpha: float = 1.2,
-                  grid: int = 16, seed: int = 0) -> MappedImage:
+def map_graphdraw(cloud: PointCloud, seed: int = 0) -> MappedImage:
     """Full pipeline: cluster, triangulate both levels, embed every graph
     in one grid_embed_many call, draw."""
-    check_cloud_size(cloud.n, k=k, alpha=alpha, grid=grid)
-    h = build_hierarchy(cloud, k=k, alpha=alpha, seed=seed)
+    check_cloud_size(cloud.n)
+    h = build_hierarchy(cloud, seed=seed)
     filled = [i for i, mem in enumerate(h.members) if len(mem)]
     embeds = iter(grid_embed_many(
         [h.top_edges] + [h.within_edges[i] for i in filled],
-        [h.centers] + [cloud.points[h.members[i]] for i in filled], grid_size=grid))
+        [h.centers] + [cloud.points[h.members[i]] for i in filled]))
     top_embed = next(embeds)
     within_embeds = [next(embeds) if len(mem)
-                     else GridEmbedding(grid, np.empty((0, 2), dtype=np.int64))
+                     else GridEmbedding(GRID, np.empty((0, 2), dtype=np.int64))
                      for mem in h.members]
     return draw_image(cloud, h, top_embed, within_embeds)

@@ -585,8 +585,6 @@ def test_cloud_size_limit_follows_cluster_cap():
     check_cloud_size(6826)
     with pytest.raises(ValueError, match="6827 points: clusters of up to 257"):
         check_cloud_size(6827)
-    with pytest.raises(ValueError):
-        check_cloud_size(100, k=17, grid=4)  # 17 clusters, 16 top cells
 
 
 def test_map_graphdraw_fails_before_clustering(monkeypatch):
