@@ -83,6 +83,9 @@ def _has_type(val, kind) -> bool:
 
 
 def _check_types(cfg: dict) -> None:
+    classes = cfg["dataset"].get("classes", [])
+    if not (isinstance(classes, list) and all(isinstance(k, str) for k in classes)):
+        raise ValueError(f"dataset.classes must be a list of strings, got {classes!r}")
     for key, kind in CONFIG_TYPES.items():
         section, _, name = key.rpartition(".")
         part = cfg[section] if section else cfg
@@ -124,6 +127,10 @@ def validate_config(cfg: dict) -> None:
     tr = cfg["train"]
     if tr["epochs"] < 1 or tr["batch_size"] < 1 or tr["lr_step"] < 1:
         raise ValueError("epochs, batch_size and lr_step must be >= 1")
+    if tr["lr"] <= 0 or tr["lr_gamma"] <= 0:
+        raise ValueError("lr and lr_gamma must be > 0")
+    if tr["weight_decay"] < 0:
+        raise ValueError("weight_decay must be >= 0")
     if cfg["epsilon"] < 0:
         raise ValueError("epsilon must be >= 0")
 

@@ -154,6 +154,13 @@ def test_repeated_synthetic_kinds_are_a_config_error(tmp_path, capsys):
     ({"train": {"lr_step": 0}}, "epochs, batch_size and lr_step must be >= 1"),
     ({"train": {"lr_step": -3}}, "epochs, batch_size and lr_step must be >= 1"),
     ({"dataset": {"classes": []}}, "dataset.classes must name at least one shape kind"),
+    ({"dataset": {"classes": 5}}, "dataset.classes must be a list of strings, got 5"),
+    ({"dataset": {"classes": [1, 2]}}, "dataset.classes must be a list of strings, got [1, 2]"),
+    ({"train": {"lr": -0.01}}, "lr and lr_gamma must be > 0"),
+    ({"train": {"lr": 0}}, "lr and lr_gamma must be > 0"),
+    ({"train": {"lr_gamma": 0.0}}, "lr and lr_gamma must be > 0"),
+    ({"train": {"lr_gamma": -0.7}}, "lr and lr_gamma must be > 0"),
+    ({"train": {"weight_decay": -1e-4}}, "weight_decay must be >= 0"),
 ])
 def test_config_that_would_fail_late_is_a_config_error(tmp_path, capsys, command,
                                                        updates, message):
