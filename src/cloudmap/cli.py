@@ -1,9 +1,10 @@
 """Experiment driver: build datasets, train a pipeline, evaluate it, run
-the attack, export mapped images. Batch only; every command validates its
-config before writing anything and is deterministic given the seed.
+the attack, export mapped images. Batch only; main validates the config
+before any command writes anything, and runs are deterministic given the seed.
 
-Config is a JSON file plus flag overrides; see DEFAULT_CONFIG for the
-schema and defaults. All outputs land under the config's out directory.
+Config is a JSON file plus flag overrides. DEFAULT_CONFIG is the schema:
+each key's default, whose type a value must have; unknown keys are
+ignored. All outputs land under the config's out directory.
 """
 
 import argparse
@@ -23,6 +24,10 @@ from .net import (TrainConfig, evaluate, load_checkpoint, save_checkpoint,
                   train, write_loss_history)
 from .pipeline import PIPELINE_NAMES, make_pipeline
 
+# the train keys whose defaults and rules are TrainConfig's
+_TRAIN_KEYS = ("epochs", "lr", "lr_step", "lr_gamma", "batch_size", "weight_decay")
+
+# dataset.path and dataset.test_fraction are read by off_dir datasets only
 DEFAULT_CONFIG = {
     "seed": 0,
     "out": "runs/exp",
@@ -34,67 +39,61 @@ DEFAULT_CONFIG = {
         "train_per_class": 100,
         "test_per_class": 20,
         "points": 1024,
+        "path": "",
+        "test_fraction": 0.2,
     },
-    "train": {
-        "epochs": 40,
-        "lr": 0.001,
-        "lr_step": 20,
-        "lr_gamma": 0.7,
-        "batch_size": 16,
-        "weight_decay": 0.0001,
-        "augment": True,
-    },
+    "train": {**{key: getattr(TrainConfig, key) for key in _TRAIN_KEYS},
+              "augment": True},
 }
+
+
+def _merge(cfg: dict, user, where: str) -> None:
+    if not isinstance(user, dict):
+        raise ValueError(f"{where} must be an object, got {user!r}")
+    for key, val in user.items():
+        if isinstance(cfg.get(key), dict):
+            _merge(cfg[key], val, key)
+        else:
+            cfg[key] = val
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
+    """DEFAULT_CONFIG, updated by the JSON file at path, then by the
+    overrides that are not None, keyed "key" or "section.key"."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path) as fh:
-            user = json.load(fh)
-        for key, val in user.items():
-            if isinstance(val, dict) and isinstance(cfg.get(key), dict):
-                cfg[key].update(val)
-            else:
-                cfg[key] = val
+            _merge(cfg, json.load(fh), "the config")
     for key, val in overrides.items():
         if val is not None:
-            cfg[key] = val
+            section, _, name = key.rpartition(".")
+            (cfg[section] if section else cfg)[name] = val
     return cfg
 
 
-# typed config values, as "section.key" or "key"
-CONFIG_TYPES = {
-    "seed": int, "epsilon": float, "out": str,
-    "dataset.train_per_class": int, "dataset.test_per_class": int,
-    "dataset.points": int, "dataset.test_fraction": float,
-    "train.epochs": int, "train.batch_size": int, "train.lr_step": int,
-    "train.lr": float, "train.lr_gamma": float, "train.weight_decay": float,
-    "train.augment": bool,
-}
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
-               str: "a string"}
+               str: "a string", list: "a list of strings"}
 
 
-def _has_type(val, kind) -> bool:
-    if isinstance(val, bool):  # an int subclass, but neither a count nor a number here
-        return kind is bool
-    return isinstance(val, (int, float) if kind is float else kind)
+def _has_type(val, default) -> bool:
+    if isinstance(default, list):
+        return isinstance(val, list) and all(isinstance(k, str) for k in val)
+    # bool is an int subclass, but neither a count nor a number here
+    return (isinstance(val, bool) == isinstance(default, bool)
+            and isinstance(val, (int, float) if isinstance(default, float) else type(default)))
 
 
-def _check_types(cfg: dict) -> None:
-    classes = cfg["dataset"].get("classes", [])
-    if not (isinstance(classes, list) and all(isinstance(k, str) for k in classes)):
-        raise ValueError(f"dataset.classes must be a list of strings, got {classes!r}")
-    for key, kind in CONFIG_TYPES.items():
-        section, _, name = key.rpartition(".")
-        part = cfg[section] if section else cfg
-        if name in part and not _has_type(part[name], kind):
-            raise ValueError(f"{key} must be {_TYPE_NAMES[kind]}, got {part[name]!r}")
+def _check_types(cfg: dict, schema: dict, where: str) -> None:
+    for name, default in schema.items():
+        if isinstance(default, dict):
+            _check_types(cfg[name], default, f"{where}{name}.")
+        elif not _has_type(cfg[name], default):
+            raise ValueError(f"{where}{name} must be {_TYPE_NAMES[type(default)]}, "
+                             f"got {cfg[name]!r}")
 
 
 def validate_config(cfg: dict) -> None:
-    _check_types(cfg)
+    _check_types(cfg, DEFAULT_CONFIG, "")
     if cfg["pipeline"] not in PIPELINE_NAMES:
         raise ValueError(f"unknown pipeline {cfg['pipeline']!r}")
     ds = cfg["dataset"]
@@ -109,38 +108,28 @@ def validate_config(cfg: dict) -> None:
             raise ValueError(f"repeated shape kinds {repeated}")
         if ds["train_per_class"] < 1 or ds["test_per_class"] < 1:
             raise ValueError("per-class counts must be >= 1")
-        if ds["points"] < 64:
-            raise ValueError("points must be >= 64")
     elif ds["type"] == "off_dir":
-        if "path" not in ds:
+        if not ds["path"]:
             raise ValueError("an off_dir dataset needs the key 'path'")
         if not os.path.isdir(ds["path"]):
             raise ValueError(f"OFF directory not found: {ds['path']}")
-        if ds.get("points", 1024) < 64:
-            raise ValueError("points must be >= 64")
-        if not 0 < ds.get("test_fraction", 0.2) < 1:
+        if not 0 < ds["test_fraction"] < 1:
             raise ValueError("test_fraction must lie strictly between 0 and 1")
     else:
         raise ValueError(f"unknown dataset type {ds['type']!r}")
+    if ds["points"] < 64:
+        raise ValueError("points must be >= 64")
     if cfg["pipeline"] == "graphdraw":
-        check_cloud_size(ds.get("points", 1024))
-    tr = cfg["train"]
-    if tr["epochs"] < 1 or tr["batch_size"] < 1 or tr["lr_step"] < 1:
-        raise ValueError("epochs, batch_size and lr_step must be >= 1")
-    if tr["lr"] <= 0 or tr["lr_gamma"] <= 0:
-        raise ValueError("lr and lr_gamma must be > 0")
-    if tr["weight_decay"] < 0:
-        raise ValueError("weight_decay must be >= 0")
+        check_cloud_size(ds["points"])
+    train_config(cfg)  # TrainConfig checks the train values
     if cfg["epsilon"] < 0:
         raise ValueError("epsilon must be >= 0")
 
 
 def train_config(cfg: dict) -> TrainConfig:
     tr = cfg["train"]
-    aug = AugmentConfig(seed=cfg["seed"]) if tr.get("augment", True) else None
-    return TrainConfig(epochs=tr["epochs"], lr=tr["lr"], lr_step=tr["lr_step"],
-                       lr_gamma=tr["lr_gamma"], batch_size=tr["batch_size"],
-                       weight_decay=tr["weight_decay"], seed=cfg["seed"],
+    aug = AugmentConfig(seed=cfg["seed"]) if tr["augment"] else None
+    return TrainConfig(**{key: tr[key] for key in _TRAIN_KEYS}, seed=cfg["seed"],
                        augment_cfg=aug)
 
 
@@ -157,7 +146,6 @@ def _class_names(cfg: dict) -> list:
 
 
 def cmd_dataset(cfg: dict) -> None:
-    validate_config(cfg)
     ds = cfg["dataset"]
     for split_idx, split in enumerate(("train", "test")):
         out_dir = _dataset_dir(cfg, split)
@@ -177,7 +165,7 @@ def cmd_dataset(cfg: dict) -> None:
                     rows.append((name, cloud.label, kind))
         else:
             classes = _class_names(cfg)
-            frac = ds.get("test_fraction", 0.2)
+            frac = ds["test_fraction"]
             for ci, kind in enumerate(classes):
                 files = sorted(f for f in os.listdir(os.path.join(ds["path"], kind))
                                if f.endswith(".off"))
@@ -186,7 +174,7 @@ def cmd_dataset(cfg: dict) -> None:
                 chosen = files[cut:] if split == "test" else files[:cut]
                 for idx, fname in enumerate(chosen):
                     mesh = load_off(os.path.join(ds["path"], kind, fname))
-                    cloud = sample_surface(mesh, ds.get("points", 1024),
+                    cloud = sample_surface(mesh, ds["points"],
                                            seed=[cfg["seed"], split_idx, ci, idx])
                     cloud = normalize_unit(cloud)
                     cloud = replace(cloud, label=ci)
@@ -223,7 +211,6 @@ def _num_classes(clouds: list) -> int:
 
 
 def cmd_train(cfg: dict) -> None:
-    validate_config(cfg)
     trainset = load_split(cfg, "train")
     tcfg = train_config(cfg)
     pipeline = make_pipeline(cfg["pipeline"], _num_classes(trainset),
@@ -248,7 +235,6 @@ def _load_pipeline(cfg: dict, num_classes: int):
 
 
 def cmd_eval(cfg: dict) -> None:
-    validate_config(cfg)
     testset = load_split(cfg, "test")
     pipeline = _load_pipeline(cfg, _num_classes(testset))
     inst, cls = evaluate(pipeline.net, pipeline, testset)
@@ -260,7 +246,6 @@ def cmd_eval(cfg: dict) -> None:
 
 
 def cmd_attack(cfg: dict) -> None:
-    validate_config(cfg)
     testset = load_split(cfg, "test")
     pipeline = _load_pipeline(cfg, _num_classes(testset))
     report = attack_suite(pipeline, testset, epsilon=cfg["epsilon"])
@@ -273,7 +258,6 @@ def cmd_attack(cfg: dict) -> None:
 
 
 def cmd_export_images(cfg: dict) -> None:
-    validate_config(cfg)
     testset = load_split(cfg, "test")
     pipeline = make_pipeline(cfg["pipeline"], _num_classes(testset),
                              seed=cfg["seed"], map_seed=cfg["seed"])
@@ -323,13 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {"out": args.out, "pipeline": args.pipeline, "seed": args.seed,
-                 "epsilon": args.epsilon}
+                 "epsilon": args.epsilon, "train.epochs": args.epochs}
     try:
         cfg = load_config(args.config, overrides)
-        if args.epochs is not None:
-            cfg["train"]["epochs"] = args.epochs
+        validate_config(cfg)
         COMMANDS[args.command](cfg)
-    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

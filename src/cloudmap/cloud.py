@@ -11,6 +11,11 @@ from pathlib import Path
 import numpy as np
 
 SYNTH_KINDS = ("sphere", "cube", "cylinder", "cone", "torus")
+# synthetic shape sizes before the unit-ball scaling of synth_shape
+CUBE_HALF = 1.0  # half the edge length
+CYLINDER_RADIUS, CYLINDER_HALF_H = 0.4, 1.0  # half_h is half the height
+CONE_RADIUS, CONE_HALF_H = 0.6, 1.0
+TORUS_MAJOR, TORUS_MINOR = 0.75, 0.25  # ring radius, tube radius
 
 
 class OffParseError(ValueError):
@@ -232,12 +237,12 @@ def _sample_sphere(rng, n):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _sample_cube(rng, n, half=1.0):
+def _sample_cube(rng, n):
     face = rng.integers(0, 6, size=n)
-    uv = rng.uniform(-half, half, size=(n, 2))
+    uv = rng.uniform(-CUBE_HALF, CUBE_HALF, size=(n, 2))
     pts = np.empty((n, 3))
     axis = face // 2
-    sign = np.where(face % 2 == 0, half, -half)
+    sign = np.where(face % 2 == 0, CUBE_HALF, -CUBE_HALF)
     for a in range(3):
         m = axis == a
         others = [b for b in range(3) if b != a]
@@ -246,43 +251,43 @@ def _sample_cube(rng, n, half=1.0):
     return pts
 
 
-def _sample_cylinder(rng, n, radius=0.4, half_h=1.0):
+def _sample_cylinder(rng, n):
     # axis along y so the top-down silhouette is a rectangle, not a disk
-    side_area = 2.0 * np.pi * radius * 2.0 * half_h
-    cap_area = 2.0 * np.pi * radius ** 2
+    side_area = 2.0 * np.pi * CYLINDER_RADIUS * 2.0 * CYLINDER_HALF_H
+    cap_area = 2.0 * np.pi * CYLINDER_RADIUS ** 2
     on_side = rng.random(n) < side_area / (side_area + cap_area)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     pts = np.empty((n, 3))
-    y = rng.uniform(-half_h, half_h, size=n)
-    r_cap = radius * np.sqrt(rng.random(n))
-    cap_sign = np.where(rng.random(n) < 0.5, half_h, -half_h)
-    r = np.where(on_side, radius, r_cap)
+    y = rng.uniform(-CYLINDER_HALF_H, CYLINDER_HALF_H, size=n)
+    r_cap = CYLINDER_RADIUS * np.sqrt(rng.random(n))
+    cap_sign = np.where(rng.random(n) < 0.5, CYLINDER_HALF_H, -CYLINDER_HALF_H)
+    r = np.where(on_side, CYLINDER_RADIUS, r_cap)
     pts[:, 0] = r * np.cos(theta)
     pts[:, 2] = r * np.sin(theta)
     pts[:, 1] = np.where(on_side, y, cap_sign)
     return pts
 
 
-def _sample_cone(rng, n, radius=0.6, half_h=1.0):
-    # apex up at y=+half_h, circular base at y=-half_h
-    slant = np.sqrt(radius ** 2 + (2.0 * half_h) ** 2)
-    lat_area = np.pi * radius * slant
-    base_area = np.pi * radius ** 2
+def _sample_cone(rng, n):
+    # apex up at y=+CONE_HALF_H, circular base at y=-CONE_HALF_H
+    slant = np.sqrt(CONE_RADIUS ** 2 + (2.0 * CONE_HALF_H) ** 2)
+    lat_area = np.pi * CONE_RADIUS * slant
+    base_area = np.pi * CONE_RADIUS ** 2
     on_lat = rng.random(n) < lat_area / (lat_area + base_area)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     rho = np.sqrt(rng.random(n))  # uniform over the unrolled lateral surface
     pts = np.empty((n, 3))
-    r_lat = rho * radius
-    y_lat = half_h - rho * 2.0 * half_h
-    r_base = radius * np.sqrt(rng.random(n))
+    r_lat = rho * CONE_RADIUS
+    y_lat = CONE_HALF_H - rho * 2.0 * CONE_HALF_H
+    r_base = CONE_RADIUS * np.sqrt(rng.random(n))
     r = np.where(on_lat, r_lat, r_base)
     pts[:, 0] = r * np.cos(theta)
     pts[:, 2] = r * np.sin(theta)
-    pts[:, 1] = np.where(on_lat, y_lat, -half_h)
+    pts[:, 1] = np.where(on_lat, y_lat, -CONE_HALF_H)
     return pts
 
 
-def _sample_torus(rng, n, major=0.75, minor=0.25):
+def _sample_torus(rng, n):
     # ring in the x-y plane; rejection sampling corrects for the area element
     pts = np.empty((n, 3))
     filled = 0
@@ -290,13 +295,14 @@ def _sample_torus(rng, n, major=0.75, minor=0.25):
         m = 2 * (n - filled) + 16
         theta = rng.uniform(0.0, 2.0 * np.pi, size=m)
         phi = rng.uniform(0.0, 2.0 * np.pi, size=m)
-        accept = rng.random(m) < (major + minor * np.cos(phi)) / (major + minor)
+        accept = (rng.random(m) < (TORUS_MAJOR + TORUS_MINOR * np.cos(phi))
+                  / (TORUS_MAJOR + TORUS_MINOR))
         theta, phi = theta[accept], phi[accept]
         take = min(len(theta), n - filled)
-        ring = major + minor * np.cos(phi[:take])
+        ring = TORUS_MAJOR + TORUS_MINOR * np.cos(phi[:take])
         pts[filled:filled + take, 0] = ring * np.cos(theta[:take])
         pts[filled:filled + take, 1] = ring * np.sin(theta[:take])
-        pts[filled:filled + take, 2] = minor * np.sin(phi[:take])
+        pts[filled:filled + take, 2] = TORUS_MINOR * np.sin(phi[:take])
         filled += take
     return pts
 

@@ -40,6 +40,14 @@ class TrainConfig:
     seed: int = 0
     augment_cfg: AugmentConfig | None = None  # None = no augmentation
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1 or self.lr_step < 1:
+            raise ValueError("epochs, batch_size and lr_step must be >= 1")
+        if self.lr <= 0 or self.lr_gamma <= 0:
+            raise ValueError("lr and lr_gamma must be > 0")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
+
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
     if epoch < 0:

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cloud import PointCloud
-from .graphdraw import map_graphdraw
+from .graphdraw import GRID, map_graphdraw
 from .net import TinyNet, _avgpool_entry, _window_sum
 from .project import GradPath, MappedImage, basic_project, basic_project_leaky
 from .render import AdaINParams, ZBufferConfig, adain, positional_embedding, zbuffer
@@ -64,7 +64,7 @@ MAPPERS = {
                     lambda p, cloud: basic_project(cloud, size=p.size)),
     "leaky": Mapper(456, 3, GradPath.COORDINATE_LEAK, True,
                     lambda p, cloud: basic_project_leaky(cloud, size=p.size)),
-    "graphdraw": Mapper(256, 3, GradPath.COORDINATE_LEAK, True,
+    "graphdraw": Mapper(GRID * GRID, 3, GradPath.COORDINATE_LEAK, True,
                         lambda p, cloud: map_graphdraw(cloud, seed=p.map_seed)),
     "zbuffer": Mapper(ZCONFIG.size, 3, GradPath.BLOCKED, False,
                       lambda p, cloud: zbuffer(cloud, ZCONFIG)),

@@ -107,13 +107,25 @@ def test_graphdraw_oversized_config_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def wrong_typed_leaves():
+    """A (key, value) pair for every scalar leaf of DEFAULT_CONFIG, whose
+    value has the wrong type: a number where the default is a string, a
+    string elsewhere. The list dataset.classes has its own cases in
+    test_config_that_would_fail_late_is_a_config_error."""
+    parts = [("", DEFAULT_CONFIG)] + [(f"{name}.", part) for name, part
+                                     in DEFAULT_CONFIG.items() if isinstance(part, dict)]
+    return [(prefix + key, 1 if isinstance(default, str) else "1")
+            for prefix, part in parts for key, default in part.items()
+            if not isinstance(default, (dict, list))]
+
+
 @pytest.mark.parametrize("key, value", [
     ("train.epochs", "2"), ("train.epochs", True), ("train.epochs", 2.0),
     ("train.batch_size", "4"), ("train.batch_size", 4.0),
     ("dataset.points", "256"), ("dataset.points", 256.0),
     ("epsilon", "0.1"), ("epsilon", True),
     ("train.augment", "false"), ("train.augment", 0), ("out", 5),
-])
+] + wrong_typed_leaves())
 def test_validate_rejects_wrong_value_types(key, value):
     cfg = load_config(None, {})
     section, _, name = key.rpartition(".")
@@ -132,6 +144,7 @@ def test_validate_accepts_ints_where_numbers_are_asked():
     ({"train": {"epochs": "2"}}, "train.epochs"),
     ({"dataset": {"points": True}}, "dataset.points"),
     ({"epsilon": "0.1"}, "epsilon"),
+    ({"dataset": {"type": "off_dir", "path": ["a"]}}, "dataset.path"),
 ])
 def test_wrong_value_type_is_a_config_error(tmp_path, capsys, updates, key):
     path = write_config(tmp_path, **updates)
@@ -161,6 +174,8 @@ def test_repeated_synthetic_kinds_are_a_config_error(tmp_path, capsys):
     ({"train": {"lr_gamma": 0.0}}, "lr and lr_gamma must be > 0"),
     ({"train": {"lr_gamma": -0.7}}, "lr and lr_gamma must be > 0"),
     ({"train": {"weight_decay": -1e-4}}, "weight_decay must be >= 0"),
+    ({"dataset": 5}, "dataset must be an object, got 5"),
+    ({"train": [1]}, "train must be an object, got [1]"),
 ])
 def test_config_that_would_fail_late_is_a_config_error(tmp_path, capsys, command,
                                                        updates, message):
@@ -168,6 +183,28 @@ def test_config_that_would_fail_late_is_a_config_error(tmp_path, capsys, command
     out = tmp_path / "out"
     assert main([command, "--config", path, "--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, flags, message", [
+    ("[1]", [], "the config must be an object, got [1]"),
+    ('{"train": [1]}', ["--epochs", "2"], "train must be an object, got [1]"),
+])
+def test_config_file_of_the_wrong_shape_is_a_config_error(tmp_path, capsys, text,
+                                                          flags, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["dataset", "--config", str(path), "--out", str(out), *flags]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_path_naming_a_directory_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["dataset", "--config", str(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
     assert not out.exists()
 
 

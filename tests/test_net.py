@@ -421,6 +421,22 @@ def test_lr_rejects_negative_epoch():
         lr_at(-1, TrainConfig())
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("epochs", 0, "epochs, batch_size and lr_step must be >= 1"),
+    ("batch_size", 0, "epochs, batch_size and lr_step must be >= 1"),
+    ("lr_step", 0, "epochs, batch_size and lr_step must be >= 1"),
+    ("lr_step", -3, "epochs, batch_size and lr_step must be >= 1"),
+    ("lr", 0, "lr and lr_gamma must be > 0"),
+    ("lr", -0.01, "lr and lr_gamma must be > 0"),
+    ("lr_gamma", 0.0, "lr and lr_gamma must be > 0"),
+    ("lr_gamma", -0.7, "lr and lr_gamma must be > 0"),
+    ("weight_decay", -1e-4, "weight_decay must be >= 0"),
+])
+def test_train_config_rejects_values_outside_its_rules(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TrainConfig(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
