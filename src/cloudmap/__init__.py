@@ -10,7 +10,7 @@ from .graphdraw import (ClusterHierarchy, Graph, GridEmbedding,
                         balanced_kmeans, build_hierarchy, delaunay3,
                         delaunay_oracle, draw_image, grid_embed,
                         map_graphdraw)
-from .imagefile import read_pgm, read_ppm, write_pgm, write_ppm
+from .imagefile import write_pgm, write_ppm
 from .net import (TinyNet, TrainConfig, adam_step, evaluate, forward,
                   load_checkpoint, loss_and_grad, lr_at, predict,
                   save_checkpoint, train)

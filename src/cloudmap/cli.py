@@ -11,6 +11,7 @@ import argparse
 import copy
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -90,6 +91,9 @@ def _check_types(cfg: dict, schema: dict, where: str) -> None:
         elif not _has_type(cfg[name], default):
             raise ValueError(f"{where}{name} must be {_TYPE_NAMES[type(default)]}, "
                              f"got {cfg[name]!r}")
+        elif isinstance(default, float) and not math.isfinite(cfg[name]):
+            # json reads NaN and Infinity, which every range check lets through
+            raise ValueError(f"{where}{name} must be finite, got {cfg[name]!r}")
 
 
 def validate_config(cfg: dict) -> None:

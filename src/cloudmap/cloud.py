@@ -69,11 +69,6 @@ class AugmentConfig:
     max_rotation: float = np.pi
     seed: int = 0
 
-    @classmethod
-    def identity(cls, seed: int = 0) -> "AugmentConfig":
-        return cls(max_dropout=0.0, scale_range=(1.0, 1.0), max_shift=0.0,
-                   max_rotation=0.0, seed=seed)
-
 
 def load_off(path) -> Mesh:
     """Parse an ASCII OFF file.

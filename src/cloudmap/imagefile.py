@@ -31,39 +31,3 @@ def write_ppm(data: np.ndarray, path) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode())
         fh.write(_to_u8(data).tobytes())
-
-
-def _read_netpbm(path, magic, channels):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos] in b" \t\r\n":
-            pos += 1
-        if raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] not in b"\r\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and raw[pos] not in b" \t\r\n":
-            pos += 1
-        fields.append(raw[start:pos])
-    if fields[0] != magic:
-        raise ValueError(f"expected {magic!r} file, got {fields[0]!r}")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval != 255:
-        raise ValueError("only maxval 255 supported")
-    pos += 1  # single whitespace byte ends the header
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=w * h * channels, offset=pos)
-    return pixels.reshape(h, w, channels).astype(np.float64) / 255.0
-
-
-def read_pgm(path) -> np.ndarray:
-    """Returns (H, W) floats in [0, 1]."""
-    return _read_netpbm(path, b"P5", 1)[:, :, 0]
-
-
-def read_ppm(path) -> np.ndarray:
-    """Returns (H, W, 3) floats in [0, 1]."""
-    return _read_netpbm(path, b"P6", 3)

@@ -7,9 +7,8 @@ Each convolution and its weight and input gradients are plain matmuls
 over an im2col matrix of 3x3 windows; train skips conv1's input
 gradient, which only attacks read. Each block then max-pools and applies
 ReLU, which equals ReLU before the pool, as ReLU is monotone. Pipelines
-hand the net inputs of at most 64x64 pixels. forward and loss_and_grad
-can also average-pool by an integer downsample factor before the first
-conv; it is differentiable, so input gradients come back at full size.
+hand the net its final input, at most 64x64 pixels; forward and
+loss_and_grad keep a downsample argument that must be 1.
 """
 
 import csv
@@ -73,51 +72,9 @@ class TinyNet:
             "fc_b": np.zeros(num_classes),
         }
 
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params.values())
-
 
 # ---------------------------------------------------------------------------
 # layer forward/backward pairs
-
-def _window_sum(x: np.ndarray, factor: int) -> np.ndarray:
-    """Sums over factor x factor windows of an (H, W, C) array; a partial
-    edge window sums the pixels present. The strided slices x[i::f, j::f]
-    are added in row-major (i, j) order, the order in which numpy reduces
-    x.reshape(h/f, f, w/f, f, c) over axes (1, 3) when C >= 2, so those
-    sums are bit-identical; for C == 1 numpy sums each window row first,
-    which can differ in the last bit. Each pass reads only the pixels it
-    adds."""
-    h, w, c = x.shape
-    out = np.zeros((-(-h // factor), -(-w // factor), c))
-    for i in range(factor):
-        for j in range(factor):
-            s = x[i::factor, j::factor]
-            out[:s.shape[0], :s.shape[1]] += s
-    return out
-
-
-def _avgpool_entry(x: np.ndarray, factor: int):
-    """Downsample by an integer factor; partial edge windows are averaged
-    over the pixels actually present."""
-    if factor <= 1:
-        return x, None
-    h, w, _ = x.shape
-    rows = np.minimum(factor, h - factor * np.arange(-(-h // factor)))
-    cols = np.minimum(factor, w - factor * np.arange(-(-w // factor)))
-    counts = rows[:, None] * cols[None, :]
-    out = _window_sum(x, factor) / counts[:, :, None]
-    return out, (h, w, factor, counts)
-
-
-def _avgpool_entry_back(d_out: np.ndarray, cache) -> np.ndarray:
-    if cache is None:
-        return d_out
-    h, w, factor, counts = cache
-    scaled = d_out / counts[:, :, None]
-    up = np.repeat(np.repeat(scaled, factor, axis=0), factor, axis=1)
-    return up[:h, :w]
-
 
 def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """3x3 same convolution as one matmul. Row p of the im2col matrix
@@ -182,12 +139,13 @@ def _pool_relu_back(d_out: np.ndarray, cache) -> np.ndarray:
 
 
 def _forward_cached(net: TinyNet, image, downsample: int):
-    """Logits, and the entry pool's, each block's and the head's caches."""
-    x = np.asarray(image, dtype=np.float64)
-    if x.ndim != 3 or x.shape[2] != net.c_in:
-        raise ValueError(f"expected (H, W, {net.c_in}) input, got {x.shape}")
+    """Logits, and each block's and the head's caches."""
+    if downsample != 1:
+        raise ValueError(f"downsample must be 1, got {downsample}")
+    a = np.asarray(image, dtype=np.float64)
+    if a.ndim != 3 or a.shape[2] != net.c_in:
+        raise ValueError(f"expected (H, W, {net.c_in}) input, got {a.shape}")
     p = net.params
-    a, entry = _avgpool_entry(x, downsample)
     blocks = []
     for i in (1, 2, 3):
         a, conv = _conv(a, p[f"conv{i}_w"], p[f"conv{i}_b"])
@@ -195,7 +153,7 @@ def _forward_cached(net: TinyNet, image, downsample: int):
         blocks.append((conv, pool))
     feat = a.mean(axis=(0, 1))
     logits = feat @ p["fc_w"] + p["fc_b"]
-    return logits, (entry, blocks, a.shape, feat)
+    return logits, (blocks, a.shape, feat)
 
 
 def forward(net: TinyNet, image, downsample: int = 1) -> np.ndarray:
@@ -204,7 +162,7 @@ def forward(net: TinyNet, image, downsample: int = 1) -> np.ndarray:
 
 def loss_and_grad(net: TinyNet, image, label: int, downsample: int = 1):
     """Softmax cross-entropy plus gradients for every parameter and for
-    the input image (at its original resolution)."""
+    the input image."""
     return _loss_and_grads(net, image, label, downsample, input_grad=True)
 
 
@@ -215,7 +173,7 @@ def _loss_and_grads(net: TinyNet, image, label: int, downsample: int,
     if not 0 <= label < net.num_classes:
         raise ValueError(f"label {label} out of range")
     p = net.params
-    logits, (entry, blocks, gap_shape, feat) = _forward_cached(net, image, downsample)
+    logits, (blocks, gap_shape, feat) = _forward_cached(net, image, downsample)
 
     zmax = logits.max()
     lse = zmax + np.log(np.exp(logits - zmax).sum())
@@ -232,8 +190,7 @@ def _loss_and_grads(net: TinyNet, image, label: int, downsample: int,
         d_a = _pool_relu_back(d_a, pool)
         d_a, grads[f"conv{i}_w"], grads[f"conv{i}_b"] = _conv_back(
             d_a, conv, input_grad or i > 1)
-    d_input = _avgpool_entry_back(d_a, entry) if input_grad else None
-    return loss, grads, d_input
+    return loss, grads, d_a
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +202,11 @@ def init_adam_state(net: TinyNet) -> dict:
 
 
 def adam_step(params: dict, grads: dict, state: dict, cfg: TrainConfig,
-              t: int, lr: float | None = None) -> None:
+              t: int, lr: float) -> None:
     """In-place Adam update with bias correction; weight decay is applied
     decoupled from the moment estimates."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    if lr is None:
-        lr = cfg.lr
     b1, b2 = ADAM_BETAS
     for name, p in params.items():
         g = grads[name]
@@ -274,9 +229,8 @@ def train(pipeline, dataset: list, cfg: TrainConfig):
     evaluate() never augments. Returns (net, per-epoch mean loss)."""
     if not dataset:
         raise ValueError("empty dataset")
-    for cloud in dataset:
-        if cloud.label is None:
-            raise ValueError("dataset cloud missing label")
+    if any(cloud.label is None for cloud in dataset):
+        raise ValueError("dataset cloud missing label")
     net = pipeline.net
     state = init_adam_state(net)
     static_inputs = None
@@ -330,6 +284,8 @@ def evaluate(net: TinyNet, pipeline, dataset: list) -> tuple[float, float]:
     the unweighted mean of per-class recalls."""
     if not dataset:
         raise ValueError("empty dataset")
+    if any(cloud.label is None for cloud in dataset):
+        raise ValueError("dataset cloud missing label")
     correct = {}
     total = {}
     for cloud in dataset:
@@ -364,14 +320,15 @@ def load_checkpoint(stem: str) -> TinyNet:
         manifest = json.load(fh)
     net = TinyNet(manifest["c_in"], manifest["num_classes"])
     flat = np.fromfile(stem + ".bin", dtype="<f8")
+    shapes = [tuple(manifest["params"][name]) for name in PARAM_ORDER]
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    if sum(sizes) != len(flat):
+        raise ValueError(f"checkpoint {stem}.bin holds {len(flat)} values, "
+                         f"its manifest needs {sum(sizes)}")
     pos = 0
-    for name in PARAM_ORDER:
-        shape = tuple(manifest["params"][name])
-        size = int(np.prod(shape))
+    for name, shape, size in zip(PARAM_ORDER, shapes, sizes):
         net.params[name] = flat[pos:pos + size].reshape(shape).copy()
         pos += size
-    if pos != len(flat):
-        raise ValueError("checkpoint size does not match manifest")
     return net
 
 

@@ -15,12 +15,39 @@ import numpy as np
 
 from .cloud import PointCloud
 from .graphdraw import GRID, map_graphdraw
-from .net import TinyNet, _avgpool_entry, _window_sum
+from .net import TinyNet
 from .project import GradPath, MappedImage, basic_project, basic_project_leaky
 from .render import AdaINParams, ZBufferConfig, adain, positional_embedding, zbuffer
 
 ZCONFIG = ZBufferConfig()
 ZBUFFER_ADAIN = AdaINParams.identity(3)  # image, row and column channels
+
+
+def _window_sum(x: np.ndarray, factor: int) -> np.ndarray:
+    """Sums over factor x factor windows of an (H, W, C) array; a partial
+    edge window sums the pixels present. The strided slices x[i::f, j::f]
+    are added in row-major (i, j) order, the order in which numpy reduces
+    x.reshape(h/f, f, w/f, f, c) over axes (1, 3) when C >= 2, so those
+    sums are bit-identical; for C == 1 numpy sums each window row first,
+    which can differ in the last bit. Each pass reads only the pixels it
+    adds."""
+    h, w, c = x.shape
+    out = np.zeros((-(-h // factor), -(-w // factor), c))
+    for i in range(factor):
+        for j in range(factor):
+            s = x[i::factor, j::factor]
+            out[:s.shape[0], :s.shape[1]] += s
+    return out
+
+
+def _avgpool_entry(x: np.ndarray, factor: int) -> np.ndarray:
+    """Downsample by an integer factor; partial edge windows are averaged
+    over the pixels actually present."""
+    h, w, _ = x.shape
+    rows = np.minimum(factor, h - factor * np.arange(-(-h // factor)))
+    cols = np.minimum(factor, w - factor * np.arange(-(-w // factor)))
+    counts = rows[:, None] * cols[None, :]
+    return _window_sum(x, factor) / counts[:, :, None]
 
 
 def _condition_depth(v: np.ndarray) -> np.ndarray:
@@ -44,7 +71,7 @@ def _zbuffer_positional(h: int, w: int, f: int) -> np.ndarray:
     beside a blank depth channel and kept read-only."""
     x = np.concatenate([np.zeros((h, w, 1)), positional_embedding(h, w)], axis=2)
     x, _ = adain(x, ZBUFFER_ADAIN)
-    out = _avgpool_entry(x, f)[0][:, :, 1:].copy()
+    out = _avgpool_entry(x, f)[:, :, 1:].copy()
     out.flags.writeable = False
     return out
 
@@ -97,7 +124,7 @@ class Pipeline:
         if MAPPERS[self.name].sparse:
             return _window_sum(x, f)
         h, w, _ = x.shape
-        depth = _avgpool_entry(_condition_depth(x[:, :, 0])[:, :, None], f)[0]
+        depth = _avgpool_entry(_condition_depth(x[:, :, 0])[:, :, None], f)
         return np.concatenate([depth, _zbuffer_positional(h, w, f)], axis=2)
 
     def net_input(self, cloud: PointCloud) -> np.ndarray:

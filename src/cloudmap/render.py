@@ -1,7 +1,8 @@
 """Depth rendering and feature modulation.
 
-zbuffer() images a cloud onto an axis-aligned view plane: depth d along the
-view axis becomes intensity exp(-(d - alpha) / beta), splatted into a 3x3
+zbuffer() images a cloud onto the plane z = +1, looking toward -z: the
+point at (x, y) lands on the pixel of (x, y), and its depth d = 1 - z
+becomes intensity exp(-(d - alpha) / beta), splatted into a 3x3
 neighborhood where the brightest (nearest) contribution wins. Quantized
 pixel coordinates carry no input gradient, so the result is grad-blocked.
 
@@ -11,6 +12,7 @@ the layer can sit inside the numpy training loop.
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,36 +28,21 @@ class ZBufferConfig:
     beta: float = 1.0
     size: int = 313
     splat: int = 3
-    view: str = "z"      # axis looked along, from the positive side
+    view: ClassVar[str] = "z"  # the one view: along z, from the positive side
 
     def __post_init__(self):
         if self.beta <= 0.0:
             raise ValueError("beta must be > 0")
         if self.splat < 1 or self.splat % 2 == 0:
             raise ValueError("splat must be odd and >= 1")
-        if self.view not in ("x", "y", "z"):
-            raise ValueError(f"unknown view {self.view!r}")
-
-
-def _view_frame(points: np.ndarray, view: str):
-    """Plane coordinates (x-like, y-like) and depth for the given view.
-    The image plane sits at +1 on the view axis, looking toward -1."""
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
-    if view == "z":
-        return x, y, 1.0 - z
-    if view == "x":
-        return y, z, 1.0 - x
-    if view == "y":
-        return x, z, 1.0 - y
-    raise ValueError(f"unknown view {view!r}")
 
 
 def zbuffer(cloud: PointCloud, config: ZBufferConfig = ZBufferConfig()) -> MappedImage:
     if cloud.n == 0:
         raise ValueError("empty cloud")
     size = config.size
-    px, py, depth = _view_frame(cloud.points, config.view)
-    rows, cols = _pixel_coords(np.stack([px, py], axis=1), size)
+    rows, cols = _pixel_coords(cloud.points, size)
+    depth = 1.0 - cloud.points[:, 2]
     inten = np.exp(-(depth - config.alpha) / config.beta)
     inten = np.clip(inten, 0.0, 1.0)
 

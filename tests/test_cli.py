@@ -3,10 +3,10 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from cloudmap.cli import DEFAULT_CONFIG, load_config, main, validate_config
-from cloudmap.imagefile import read_ppm
 
 
 def write_config(tmp_path, **updates):
@@ -176,6 +176,9 @@ def test_repeated_synthetic_kinds_are_a_config_error(tmp_path, capsys):
     ({"train": {"weight_decay": -1e-4}}, "weight_decay must be >= 0"),
     ({"dataset": 5}, "dataset must be an object, got 5"),
     ({"train": [1]}, "train must be an object, got [1]"),
+    ({"epsilon": float("nan")}, "epsilon must be finite, got nan"),
+    ({"train": {"lr": float("nan")}}, "train.lr must be finite, got nan"),
+    ({"train": {"weight_decay": float("inf")}}, "train.weight_decay must be finite, got inf"),
 ])
 def test_config_that_would_fail_late_is_a_config_error(tmp_path, capsys, command,
                                                        updates, message):
@@ -325,8 +328,10 @@ def test_export_graphdraw_lit_pixel_count(run_dir, capsys):
                "--pipeline", "graphdraw"])
     assert rc == 0
     capsys.readouterr()
-    img = read_ppm(os.path.join(out, "images", "graphdraw_class0.ppm"))
-    assert img.shape == (256, 256, 3)
+    raw = open(os.path.join(out, "images", "graphdraw_class0.ppm"), "rb").read()
+    header = b"P6\n256 256\n255\n"
+    assert raw.startswith(header)
+    img = np.frombuffer(raw, dtype=np.uint8, offset=len(header)).reshape(256, 256, 3)
     assert int((img.sum(axis=2) > 0).sum()) == 64  # one pixel per point
 
 
@@ -337,6 +342,20 @@ def test_eval_without_checkpoint_fails(tmp_path, capsys):
     rc = main(["eval", "--config", path, "--out", out, "--pipeline", "leaky"])
     assert rc == 1
     assert "train command" in capsys.readouterr().err
+
+
+def test_eval_on_truncated_checkpoint_fails(tmp_path, capsys):
+    path = write_config(tmp_path, train={"epochs": 1})
+    out = str(tmp_path / "out")
+    assert main(["dataset", "--config", path, "--out", out]) == 0
+    assert main(["train", "--config", path, "--out", out]) == 0
+    bin_path = os.path.join(out, "ckpt_basic.bin")
+    raw = open(bin_path, "rb").read()
+    open(bin_path, "wb").write(raw[:-8])  # one value short
+    capsys.readouterr()
+    assert main(["eval", "--config", path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint ") and "values, its manifest needs" in err
 
 
 def test_train_without_dataset_fails(tmp_path, capsys):

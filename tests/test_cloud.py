@@ -164,7 +164,8 @@ def test_synth_shape_deterministic():
 
 def test_augment_identity_is_noop():
     cloud = synth_shape("cube", 128, seed=0)
-    out = augment(cloud, AugmentConfig.identity())
+    out = augment(cloud, AugmentConfig(max_dropout=0.0, scale_range=(1.0, 1.0),
+                                       max_shift=0.0, max_rotation=0.0))
     assert np.array_equal(out.points, cloud.points)
     assert out.label == cloud.label
 

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from cloudmap.imagefile import read_pgm, read_ppm, write_pgm, write_ppm
+from cloudmap.imagefile import write_pgm, write_ppm
+
+
+def read_pixels(path, header, shape):
+    """The bytes after the exact header, as (H, W[, 3]) floats in [0, 1]."""
+    raw = path.read_bytes()
+    assert raw[:len(header)] == header
+    pixels = np.frombuffer(raw, dtype=np.uint8, offset=len(header))
+    return pixels.reshape(shape).astype(np.float64) / 255.0
 
 
 def test_pgm_roundtrip(tmp_path):
@@ -9,8 +17,7 @@ def test_pgm_roundtrip(tmp_path):
     img = rng.uniform(0, 1, (5, 7))
     path = tmp_path / "a.pgm"
     write_pgm(img, path)
-    back = read_pgm(path)
-    assert back.shape == (5, 7)
+    back = read_pixels(path, b"P5\n7 5\n255\n", (5, 7))
     assert np.abs(back - img).max() <= 0.5 / 255 + 1e-9
 
 
@@ -19,8 +26,7 @@ def test_ppm_roundtrip(tmp_path):
     img = rng.uniform(0, 1, (4, 6, 3))
     path = tmp_path / "a.ppm"
     write_ppm(img, path)
-    back = read_ppm(path)
-    assert back.shape == (4, 6, 3)
+    back = read_pixels(path, b"P6\n6 4\n255\n", (4, 6, 3))
     assert np.abs(back - img).max() <= 0.5 / 255 + 1e-9
 
 
@@ -43,7 +49,7 @@ def test_values_clipped_to_byte_range(tmp_path):
     img = np.array([[-0.5, 0.0], [1.5, 1.0]])
     path = tmp_path / "c.pgm"
     write_pgm(img, path)
-    back = read_pgm(path)
+    back = read_pixels(path, b"P5\n2 2\n255\n", (2, 2))
     assert back[0, 0] == 0.0
     assert back[1, 0] == 1.0
 
@@ -53,10 +59,3 @@ def test_wrong_channel_count_rejected(tmp_path):
         write_ppm(np.zeros((2, 2, 1)), tmp_path / "x.ppm")
     with pytest.raises(ValueError):
         write_pgm(np.zeros((2, 2, 3)), tmp_path / "x.pgm")
-
-
-def test_read_rejects_wrong_magic(tmp_path):
-    path = tmp_path / "bad.pgm"
-    path.write_bytes(b"P4\n1 1\n255\n\x00")
-    with pytest.raises(ValueError):
-        read_pgm(path)

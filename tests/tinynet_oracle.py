@@ -6,14 +6,11 @@ and then a 2x2 max pool through argmax over a transposed window copy, as
 before the pool-then-ReLU rewrite. Tests use it as an oracle: the
 rewrites must reproduce its logits and gradients within a stated
 tolerance, and the pool-then-ReLU block must equal _maxpool(_relu(x))
-exactly. Only the entry average pool comes from cloudmap.net. Do not
-optimize this file.
+exactly. Do not optimize this file.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-from cloudmap.net import _avgpool_entry, _avgpool_entry_back
 
 
 def _relu(x: np.ndarray):
@@ -71,11 +68,10 @@ def _conv_back(d_out: np.ndarray, cache):
     return d_xp[1:-1, 1:-1], d_w, d_b
 
 
-def _forward_cached(params: dict, x: np.ndarray, downsample: int):
+def _forward_cached(params: dict, x: np.ndarray):
     p = params
     caches = {}
-    x0, caches["pool0"] = _avgpool_entry(x, downsample)
-    a = x0
+    a = x
     for i in (1, 2, 3):
         a, caches[f"conv{i}"] = _conv(a, p[f"conv{i}_w"], p[f"conv{i}_b"])
         a, caches[f"relu{i}"] = _relu(a)
@@ -87,10 +83,10 @@ def _forward_cached(params: dict, x: np.ndarray, downsample: int):
     return logits, caches
 
 
-def loss_and_grad(params: dict, x: np.ndarray, label: int, downsample: int = 1):
+def loss_and_grad(params: dict, x: np.ndarray, label: int):
     """(logits, loss, parameter gradients, input gradient)."""
     p = params
-    logits, caches = _forward_cached(p, np.asarray(x, dtype=np.float64), downsample)
+    logits, caches = _forward_cached(p, np.asarray(x, dtype=np.float64))
 
     zmax = logits.max()
     lse = zmax + np.log(np.exp(logits - zmax).sum())
@@ -108,5 +104,4 @@ def loss_and_grad(params: dict, x: np.ndarray, label: int, downsample: int = 1):
         d_a = _maxpool_back(d_a, caches[f"max{i}"])
         d_a = d_a * caches[f"relu{i}"]
         d_a, grads[f"conv{i}_w"], grads[f"conv{i}_b"] = _conv_back(d_a, caches[f"conv{i}"])
-    d_input = _avgpool_entry_back(d_a, caches["pool0"])
-    return logits, loss, grads, d_input
+    return logits, loss, grads, d_a
