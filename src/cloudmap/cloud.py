@@ -16,6 +16,11 @@ CUBE_HALF = 1.0  # half the edge length
 CYLINDER_RADIUS, CYLINDER_HALF_H = 0.4, 1.0  # half_h is half the height
 CONE_RADIUS, CONE_HALF_H = 0.6, 1.0
 TORUS_MAJOR, TORUS_MINOR = 0.75, 0.25  # ring radius, tube radius
+# the training augmentation recipe of augment
+AUG_MAX_DROPOUT = 0.875  # at least 1/8 of the points survive
+AUG_SCALE = (0.8, 1.0)
+AUG_MAX_SHIFT = 0.1  # per axis
+AUG_MAX_ROTATION = np.pi  # about the up (z) axis
 
 
 class OffParseError(ValueError):
@@ -61,12 +66,7 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    """Training-time augmentation. Defaults: max dropout 0.875, scale in
-    [0.8, 1.0], shift up to 0.1 per axis, rotation up to pi about the up axis."""
-    max_dropout: float = 0.875
-    scale_range: tuple = (0.8, 1.0)
-    max_shift: float = 0.1
-    max_rotation: float = np.pi
+    """Training-time augmentation: the seed of the fixed AUG_* recipe."""
     seed: int = 0
 
 
@@ -123,6 +123,8 @@ def load_off(path) -> Mesh:
             vertices[i] = [float(v) for v in fields[:3]]
         except ValueError:
             raise OffParseError(f"{path}:{lineno}: non-numeric vertex coordinate")
+        if not np.isfinite(vertices[i]).all():
+            raise OffParseError(f"{path}:{lineno}: non-finite vertex coordinate")
 
     faces = []
     for i in range(n_face):
@@ -191,39 +193,22 @@ def _rot_z(angle: float) -> np.ndarray:
 
 
 def augment(cloud: PointCloud, cfg: AugmentConfig) -> PointCloud:
-    """Apply random rotation (about z), point dropout, scale, and shift.
+    """Rotate about z, drop points, scale, then shift, by the AUG_* recipe.
 
-    Dropout draws a rate uniformly in [0, max_dropout] and overwrites
+    Dropout draws a rate uniformly in [0, AUG_MAX_DROPOUT] and overwrites
     floor(rate*N) randomly chosen points with the first surviving point, so
-    the point count stays fixed and at least ceil((1-max_dropout)*N) original
-    points remain. Each sub-step is skipped entirely when its config is the
-    identity, which makes the all-identity config a bitwise no-op.
+    the point count stays fixed and at least ceil((1-AUG_MAX_DROPOUT)*N)
+    original points remain.
     """
     rng = np.random.default_rng(cfg.seed)
-    pts = cloud.points.copy()
+    pts = cloud.points @ _rot_z(rng.uniform(-AUG_MAX_ROTATION, AUG_MAX_ROTATION)).T
     n = len(pts)
-
-    if cfg.max_rotation != 0.0:
-        angle = rng.uniform(-cfg.max_rotation, cfg.max_rotation)
-        pts = pts @ _rot_z(angle).T
-
-    if cfg.max_dropout > 0.0:
-        rate = rng.uniform(0.0, cfg.max_dropout)
-        k = int(rate * n)
-        if k > 0:
-            drop = rng.choice(n, size=k, replace=False)
-            keep_mask = np.ones(n, dtype=bool)
-            keep_mask[drop] = False
-            first_kept = int(np.flatnonzero(keep_mask)[0])
-            pts[drop] = pts[first_kept]
-
-    lo, hi = cfg.scale_range
-    if not (lo == 1.0 and hi == 1.0):
-        pts = pts * rng.uniform(lo, hi)
-
-    if cfg.max_shift != 0.0:
-        pts = pts + rng.uniform(-cfg.max_shift, cfg.max_shift, size=3)
-
+    drop = rng.choice(n, size=int(rng.uniform(0.0, AUG_MAX_DROPOUT) * n), replace=False)
+    keep_mask = np.ones(n, dtype=bool)
+    keep_mask[drop] = False
+    pts[drop] = pts[np.flatnonzero(keep_mask)[0]]
+    pts = pts * rng.uniform(*AUG_SCALE)
+    pts = pts + rng.uniform(-AUG_MAX_SHIFT, AUG_MAX_SHIFT, size=3)
     return cloud.with_points(pts)
 
 
@@ -340,4 +325,6 @@ def read_xyz(path, label: int | None = None) -> PointCloud:
     pts = np.loadtxt(path, dtype=np.float64, ndmin=2)
     if pts.shape[1] != 3:
         raise ValueError(f"{path}: expected 3 columns, got {pts.shape[1]}")
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{path}: non-finite coordinate")
     return PointCloud(pts, label)

@@ -13,7 +13,7 @@ loss_and_grad keep a downsample argument that must be 1.
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -252,9 +252,8 @@ def train(pipeline, dataset: list, cfg: TrainConfig):
                 if static_inputs is not None:
                     x = static_inputs[si]
                 else:
-                    aug = replace(cfg.augment_cfg,
-                                  seed=int(np.random.default_rng(
-                                      [cfg.seed, 77, epoch, int(si)]).integers(2 ** 31)))
+                    aug = AugmentConfig(seed=int(np.random.default_rng(
+                        [cfg.seed, 77, epoch, int(si)]).integers(2 ** 31)))
                     x = pipeline.net_input(augment(cloud, aug))
                 loss, grads, _ = _loss_and_grads(net, x, cloud.label, 1,
                                                  input_grad=False)
@@ -316,19 +315,29 @@ def save_checkpoint(net: TinyNet, stem: str) -> None:
 
 
 def load_checkpoint(stem: str) -> TinyNet:
+    """The net save_checkpoint wrote to stem. A manifest that does not
+    describe TinyNet(c_in, num_classes) raises ValueError naming the key."""
     with open(stem + ".json") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("params"), dict):
+        raise ValueError(f"checkpoint {stem}.json must be an object with a params object")
+    for key in ("c_in", "num_classes"):
+        if type(manifest.get(key)) is not int or manifest[key] < 1:
+            raise ValueError(f"checkpoint {stem}.json: {key} must be an integer >= 1, "
+                             f"got {manifest.get(key)!r}")
     net = TinyNet(manifest["c_in"], manifest["num_classes"])
+    for name in PARAM_ORDER:
+        got, shape = manifest["params"].get(name), list(net.params[name].shape)
+        if got != shape:
+            raise ValueError(f"checkpoint {stem}.json: params.{name} is {got!r}, "
+                             f"TinyNet({net.c_in}, {net.num_classes}) needs {shape}")
     flat = np.fromfile(stem + ".bin", dtype="<f8")
-    shapes = [tuple(manifest["params"][name]) for name in PARAM_ORDER]
-    sizes = [int(np.prod(shape)) for shape in shapes]
-    if sum(sizes) != len(flat):
+    ends = np.cumsum([net.params[name].size for name in PARAM_ORDER])
+    if ends[-1] != len(flat):
         raise ValueError(f"checkpoint {stem}.bin holds {len(flat)} values, "
-                         f"its manifest needs {sum(sizes)}")
-    pos = 0
-    for name, shape, size in zip(PARAM_ORDER, shapes, sizes):
-        net.params[name] = flat[pos:pos + size].reshape(shape).copy()
-        pos += size
+                         f"its manifest needs {ends[-1]}")
+    for name, part in zip(PARAM_ORDER, np.split(flat, ends[:-1])):
+        net.params[name] = part.reshape(net.params[name].shape)
     return net
 
 

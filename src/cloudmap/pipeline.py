@@ -16,8 +16,8 @@ import numpy as np
 from .cloud import PointCloud
 from .graphdraw import GRID, map_graphdraw
 from .net import TinyNet
-from .project import GradPath, MappedImage, basic_project, basic_project_leaky
-from .render import AdaINParams, ZBufferConfig, adain, positional_embedding, zbuffer
+from .project import SIZE, GradPath, MappedImage, basic_project, basic_project_leaky
+from .render import ADAIN_EPS, AdaINParams, ZBufferConfig, adain, positional_embedding, zbuffer
 
 ZCONFIG = ZBufferConfig()
 ZBUFFER_ADAIN = AdaINParams.identity(3)  # image, row and column channels
@@ -60,7 +60,7 @@ def _condition_depth(v: np.ndarray) -> np.ndarray:
     p = ZBUFFER_ADAIN
     y_s = (p.w_scale @ p.control + p.b_scale)[0]
     y_b = (p.w_bias @ p.control + p.b_bias)[0]
-    return y_s * (d / np.sqrt(var + p.eps)) + y_b
+    return y_s * (d / np.sqrt(var + ADAIN_EPS)) + y_b
 
 
 @functools.cache
@@ -87,10 +87,10 @@ class Mapper(NamedTuple):
 # Each map call names its mapper as a module global when it runs, so a
 # wrapper installed on this module (a tracer, say) sees every call.
 MAPPERS = {
-    "basic": Mapper(456, 1, GradPath.BLOCKED, True,
-                    lambda p, cloud: basic_project(cloud, size=p.size)),
-    "leaky": Mapper(456, 3, GradPath.COORDINATE_LEAK, True,
-                    lambda p, cloud: basic_project_leaky(cloud, size=p.size)),
+    "basic": Mapper(SIZE, 1, GradPath.BLOCKED, True,
+                    lambda p, cloud: basic_project(cloud)),
+    "leaky": Mapper(SIZE, 3, GradPath.COORDINATE_LEAK, True,
+                    lambda p, cloud: basic_project_leaky(cloud)),
     "graphdraw": Mapper(GRID * GRID, 3, GradPath.COORDINATE_LEAK, True,
                         lambda p, cloud: map_graphdraw(cloud, seed=p.map_seed)),
     "zbuffer": Mapper(ZCONFIG.size, 3, GradPath.BLOCKED, False,

@@ -14,6 +14,8 @@ import numpy as np
 
 from .cloud import PointCloud
 
+SIZE = 456  # side in pixels of the basic and leaky images
+
 
 class GradPath(Enum):
     BLOCKED = "blocked"
@@ -68,7 +70,7 @@ def _pixel_coords(points: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray
             np.clip(cols, 0, size - 1).astype(np.int64))
 
 
-def basic_project(cloud: PointCloud, size: int = 456) -> MappedImage:
+def basic_project(cloud: PointCloud) -> MappedImage:
     """Binary occupancy image of the cloud's (x, y) footprint; z is discarded.
 
     The floor quantization has zero derivative almost everywhere, so the
@@ -76,8 +78,8 @@ def basic_project(cloud: PointCloud, size: int = 456) -> MappedImage:
     """
     if cloud.n < 1:
         raise ValueError("empty cloud")
-    rows, cols = _pixel_coords(cloud.points, size)
-    data = np.zeros((size, size, 1), dtype=np.float64)
+    rows, cols = _pixel_coords(cloud.points, SIZE)
+    data = np.zeros((SIZE, SIZE, 1), dtype=np.float64)
     data[rows, cols, 0] = 1.0
     return MappedImage(data, GradPath.BLOCKED, source_key=cloud_key(cloud))
 
@@ -104,7 +106,7 @@ def leaky_image(cloud: PointCloud, size: int, rows: np.ndarray, cols: np.ndarray
                        source_key=cloud_key(cloud))
 
 
-def basic_project_leaky(cloud: PointCloud, size: int = 456) -> MappedImage:
+def basic_project_leaky(cloud: PointCloud) -> MappedImage:
     """Same occupancy geometry as basic_project, but each lit pixel's three
     channels hold the mapped point's coordinates encoded as (t + 1) / 2.
 
@@ -114,11 +116,11 @@ def basic_project_leaky(cloud: PointCloud, size: int = 456) -> MappedImage:
     """
     if cloud.n < 1:
         raise ValueError("empty cloud")
-    rows, cols = _pixel_coords(cloud.points, size)
+    rows, cols = _pixel_coords(cloud.points, SIZE)
     # the first occurrence of a pixel in reversed order is its last writer
-    _, first = np.unique((rows * size + cols)[::-1], return_index=True)
+    _, first = np.unique((rows * SIZE + cols)[::-1], return_index=True)
     winners = cloud.n - 1 - first
-    return leaky_image(cloud, size, rows[winners], cols[winners], winners)
+    return leaky_image(cloud, SIZE, rows[winners], cols[winners], winners)
 
 
 def remap_frozen(image: MappedImage, cloud: PointCloud) -> np.ndarray:

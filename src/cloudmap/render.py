@@ -20,6 +20,7 @@ from .cloud import PointCloud
 from .project import GradPath, MappedImage, _pixel_coords
 
 DEFAULT_SCENE_CONTROL = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+ADAIN_EPS = 1e-5  # variance floor of adain, inside the square root
 
 
 @dataclass(frozen=True)
@@ -82,14 +83,12 @@ class AdaINParams:
     b_scale: np.ndarray  # (C,)
     w_bias: np.ndarray   # (C, D)
     b_bias: np.ndarray   # (C,)
-    eps: float = 1e-5
 
     @classmethod
-    def identity(cls, channels: int,
-                 control: np.ndarray = DEFAULT_SCENE_CONTROL) -> "AdaINParams":
-        """Predicts scale 1 and bias 0 whatever the control vector."""
-        d = len(control)
-        return cls(np.asarray(control, dtype=np.float64),
+    def identity(cls, channels: int) -> "AdaINParams":
+        """Predicts scale 1 and bias 0 from DEFAULT_SCENE_CONTROL."""
+        d = len(DEFAULT_SCENE_CONTROL)
+        return cls(DEFAULT_SCENE_CONTROL.copy(),
                    np.zeros((channels, d)), np.ones(channels),
                    np.zeros((channels, d)), np.zeros(channels))
 
@@ -107,9 +106,9 @@ class AdaINParams:
 
 def adain(features: np.ndarray, params: AdaINParams):
     """Normalize each channel over its spatial extent (population std,
-    eps inside the square root), then rescale and shift by the styles
+    ADAIN_EPS inside the square root), then rescale and shift by the styles
     predicted from the control vector. Channel c of the output has mean
-    bias[c] and std |scale[c]| up to the eps floor.
+    bias[c] and std |scale[c]| up to the ADAIN_EPS floor.
     Returns (output, cache)."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != params.w_scale.shape[0]:
@@ -118,7 +117,7 @@ def adain(features: np.ndarray, params: AdaINParams):
     y_b = params.w_bias @ params.control + params.b_bias
     mu = x.mean(axis=(0, 1))
     var = x.var(axis=(0, 1))
-    sigma = np.sqrt(var + params.eps)
+    sigma = np.sqrt(var + ADAIN_EPS)
     xhat = (x - mu) / sigma
     out = y_s * xhat + y_b
     cache = (xhat, sigma, y_s, params)

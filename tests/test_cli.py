@@ -358,6 +358,33 @@ def test_eval_on_truncated_checkpoint_fails(tmp_path, capsys):
     assert err.startswith("error: checkpoint ") and "values, its manifest needs" in err
 
 
+def test_eval_on_checkpoint_missing_a_parameter_fails(tmp_path, capsys):
+    path = write_config(tmp_path, train={"epochs": 1})
+    out = str(tmp_path / "out")
+    assert main(["dataset", "--config", path, "--out", out]) == 0
+    assert main(["train", "--config", path, "--out", out]) == 0
+    manifest_path = os.path.join(out, "ckpt_basic.json")
+    manifest = json.loads(open(manifest_path).read())
+    del manifest["params"]["fc_b"]
+    open(manifest_path, "w").write(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["eval", "--config", path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint ") and "params.fc_b" in err
+
+
+def test_eval_on_non_finite_test_cloud_fails(tmp_path, capsys):
+    path = write_config(tmp_path, train={"epochs": 1})
+    out = str(tmp_path / "out")
+    assert main(["dataset", "--config", path, "--out", out]) == 0
+    assert main(["train", "--config", path, "--out", out]) == 0
+    xyz = os.path.join(out, "dataset", "test", "cube_0001.xyz")
+    open(xyz, "a").write("nan 0 0\n")
+    capsys.readouterr()
+    assert main(["eval", "--config", path, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {xyz}: non-finite coordinate\n"
+
+
 def test_train_without_dataset_fails(tmp_path, capsys):
     path = write_config(tmp_path)
     rc = main(["train", "--config", path, "--out", str(tmp_path / "empty")])

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cloudmap.cloud import (AugmentConfig, Mesh, OffParseError, PointCloud,
                             SYNTH_KINDS, augment, load_off, normalize_unit,
@@ -74,6 +78,13 @@ def test_load_off_face_index_out_of_range(tmp_path):
     text = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n"
     with pytest.raises(OffParseError):
         load_off(write_off(tmp_path, text))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-1e999"])
+def test_load_off_rejects_non_finite_vertex(tmp_path, bad):
+    path = write_off(tmp_path, UNIT_TET.replace("0 1 0\n", f"0 {bad} 0\n"))
+    with pytest.raises(OffParseError, match=f"^{re.escape(str(path))}:5: non-finite"):
+        load_off(path)
 
 
 def test_face_areas_unit_triangle():
@@ -162,14 +173,6 @@ def test_synth_shape_deterministic():
     assert np.array_equal(a.points, b.points)
 
 
-def test_augment_identity_is_noop():
-    cloud = synth_shape("cube", 128, seed=0)
-    out = augment(cloud, AugmentConfig(max_dropout=0.0, scale_range=(1.0, 1.0),
-                                       max_shift=0.0, max_rotation=0.0))
-    assert np.array_equal(out.points, cloud.points)
-    assert out.label == cloud.label
-
-
 def test_augment_keeps_count_and_label():
     cloud = synth_shape("sphere", 128, seed=0)
     out = augment(cloud, AugmentConfig(seed=4))
@@ -177,32 +180,80 @@ def test_augment_keeps_count_and_label():
     assert out.label == cloud.label
 
 
-def test_augment_dropout_duplicates():
-    cloud = synth_shape("sphere", 256, seed=1)
-    cfg = AugmentConfig(max_dropout=0.875, scale_range=(1.0, 1.0),
-                        max_shift=0.0, max_rotation=0.0, seed=9)
-    out = augment(cloud, cfg)
-    uniq = np.unique(out.points, axis=0)
-    assert len(uniq) < cloud.n  # dropped points collapse onto survivors
+def frozen_augment(cloud, seed):
+    """augment as it was when the recipe was a config: one identity skip
+    per step, each taken with the default ranges it then had."""
+    max_dropout, scale_range, max_shift, max_rotation = 0.875, (0.8, 1.0), 0.1, np.pi
+    rng = np.random.default_rng(seed)
+    pts = cloud.points.copy()
+    n = len(pts)
+
+    if max_rotation != 0.0:
+        angle = rng.uniform(-max_rotation, max_rotation)
+        c, s = np.cos(angle), np.sin(angle)
+        pts = pts @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]).T
+
+    if max_dropout > 0.0:
+        rate = rng.uniform(0.0, max_dropout)
+        k = int(rate * n)
+        if k > 0:
+            drop = rng.choice(n, size=k, replace=False)
+            keep_mask = np.ones(n, dtype=bool)
+            keep_mask[drop] = False
+            first_kept = int(np.flatnonzero(keep_mask)[0])
+            pts[drop] = pts[first_kept]
+
+    lo, hi = scale_range
+    if not (lo == 1.0 and hi == 1.0):
+        pts = pts * rng.uniform(lo, hi)
+
+    if max_shift != 0.0:
+        pts = pts + rng.uniform(-max_shift, max_shift, size=3)
+
+    return cloud.with_points(pts)
 
 
-def test_augment_scale_only_bounds():
-    cloud = synth_shape("cube", 128, seed=2)
-    cfg = AugmentConfig(max_dropout=0.0, scale_range=(0.8, 1.0),
-                        max_shift=0.0, max_rotation=0.0, seed=3)
-    out = augment(cloud, cfg)
-    ratio = np.linalg.norm(out.points, axis=1).max()
-    assert 0.8 - 1e-12 <= ratio <= 1.0 + 1e-12
+AUGMENT_INPUTS = (st.sampled_from(SYNTH_KINDS), st.integers(64, 1024),
+                  st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 31 - 1))
 
 
-def test_augment_rotation_preserves_z_and_radius():
-    cloud = synth_shape("cone", 128, seed=2)
-    cfg = AugmentConfig(max_dropout=0.0, scale_range=(1.0, 1.0),
-                        max_shift=0.0, max_rotation=np.pi, seed=8)
-    out = augment(cloud, cfg)
-    assert np.allclose(out.points[:, 2], cloud.points[:, 2], atol=1e-12)
-    assert np.allclose(np.linalg.norm(out.points[:, :2], axis=1),
-                       np.linalg.norm(cloud.points[:, :2], axis=1), atol=1e-12)
+@settings(max_examples=200, deadline=None)
+@given(*AUGMENT_INPUTS)
+@example("sphere", 64, 0, 25)  # rate below 1/64: nothing is dropped
+def test_augment_is_rotate_drop_scale_shift(kind, n, cloud_seed, seed):
+    cloud = synth_shape(kind, n, seed=cloud_seed)
+    out = augment(cloud, AugmentConfig(seed=seed))
+    assert out.n == cloud.n and out.label == cloud.label
+    # a dropped point is a copy of the first survivor, and rows before that
+    # survivor are all dropped, so row 0 holds the first survivor's image
+    alone = np.flatnonzero((out.points != out.points[0]).any(axis=1))
+    assert len(alone) + 1 >= -(-n // 8)
+    assert len(np.unique(out.points, axis=0)) == len(alone) + 1
+    # recover the map from the survivors a and b whose (x, y) lie farthest
+    # apart, then check it on every survivor: y = s Rz(theta) x + t
+    a = alone[0]
+    b = alone[np.argmax(np.linalg.norm(cloud.points[alone, :2] - cloud.points[a, :2], axis=1))]
+    d_in, d_out = cloud.points[b] - cloud.points[a], out.points[b] - out.points[a]
+    scale = np.linalg.norm(d_out) / np.linalg.norm(d_in)
+    theta = np.arctan2(d_out[1], d_out[0]) - np.arctan2(d_in[1], d_in[0])
+    c, s = np.cos(theta), np.sin(theta)
+    linear = scale * np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    shift = out.points[a] - linear @ cloud.points[a]
+    assert 0.8 - 1e-12 <= scale <= 1.0 + 1e-12
+    assert np.abs(shift).max() <= 0.1 + 1e-12
+    mapped = cloud.points @ linear.T + shift
+    assert np.allclose(out.points[alone], mapped[alone], rtol=0, atol=1e-12)
+    first = np.flatnonzero((out.points == out.points[0]).all(axis=1))
+    assert np.isclose(mapped[first], out.points[0], rtol=0, atol=1e-12).all(axis=1).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(*AUGMENT_INPUTS)
+@example("sphere", 64, 0, 25)
+def test_augment_equals_frozen_copy(kind, n, cloud_seed, seed):
+    cloud = synth_shape(kind, n, seed=cloud_seed)
+    assert np.array_equal(augment(cloud, AugmentConfig(seed=seed)).points,
+                          frozen_augment(cloud, seed).points)
 
 
 def test_augment_deterministic():
@@ -219,6 +270,14 @@ def test_xyz_roundtrip_exact(tmp_path):
     back = read_xyz(path, label=cloud.label)
     assert np.array_equal(back.points, cloud.points)
     assert back.label == cloud.label
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_read_xyz_rejects_non_finite(tmp_path, bad):
+    path = tmp_path / "c.xyz"
+    path.write_text(f"0 0 0\n{bad} 0 0\n0 1 0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: non-finite"):
+        read_xyz(path)
 
 
 def test_mesh_rejects_bad_face_index():

@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import dataclass, replace
 
@@ -544,6 +545,27 @@ def test_checkpoint_of_the_wrong_length_rejected(tmp_path, change):
     np.resize(flat, n).astype("<f8").tofile(stem + ".bin")
     message = f"checkpoint {stem}.bin holds {n} values, its manifest needs {len(flat)}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(stem)
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda m: m["params"].pop("fc_b"), "params.fc_b"),
+    (lambda m: m["params"].update(conv2_w=[16, 3, 3, 8]), "params.conv2_w"),
+    (lambda m: m.update(num_classes=3), "params.fc_w"),  # shapes say 2 classes
+    (lambda m: m.update(c_in=3), "params.conv1_w"),  # shapes say 1 channel
+    (lambda m: m.update(c_in=0), "c_in"),
+    (lambda m: m.update(num_classes=2.0), "num_classes"),
+    (lambda m: m.pop("c_in"), "c_in"),
+    (lambda m: m.pop("params"), "params"),
+], ids=["fc_b-missing", "conv2_w-shape", "num_classes-vs-shapes", "c_in-vs-shapes",
+        "c_in-0", "num_classes-float", "c_in-missing", "params-missing"])
+def test_checkpoint_manifest_must_match_the_net(tmp_path, edit, key):
+    stem = str(tmp_path / "ckpt")
+    save_checkpoint(TinyNet(1, 2, seed=0), stem)
+    manifest = json.loads(open(stem + ".json").read())
+    edit(manifest)
+    open(stem + ".json", "w").write(json.dumps(manifest))
+    with pytest.raises(ValueError, match=f"^checkpoint {re.escape(stem)}.json.*{key}"):
         load_checkpoint(stem)
 
 

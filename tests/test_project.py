@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cloudmap.cloud import SYNTH_KINDS, AugmentConfig, PointCloud, augment, synth_shape
-from cloudmap.project import (GradPath, MappedImage, basic_project,
+from cloudmap.project import (SIZE, GradPath, MappedImage, basic_project,
                               basic_project_leaky, cloud_key, remap_frozen)
 from cloudmap.render import zbuffer
 
@@ -25,21 +25,21 @@ def test_basic_project_values_binary():
 
 def test_pixel_mapping_known_point():
     # x = y = 0 lands in the center pixel
-    img = basic_project(cloud_of([[0.0, 0.0, 0.5]]), size=456)
+    img = basic_project(cloud_of([[0.0, 0.0, 0.5]]))
     assert img.data[228, 228, 0] == 1.0
     assert img.data.sum() == 1.0
 
 
 def test_pixel_mapping_corners():
     # top-left pixel is (x, y) near (-1, +1)
-    img = basic_project(cloud_of([[-0.999, 0.999, 0.0]]), size=10)
+    img = basic_project(cloud_of([[-0.999, 0.999, 0.0]]))
     assert img.data[0, 0, 0] == 1.0
 
 
 def test_far_out_of_frame_point_clamps_to_corner():
     # above and right of the frame: row clamps to 0, column to size - 1
-    img = basic_project(cloud_of([[5.0, 5.0, 0.0]]), size=16)
-    assert img.data[0, 15, 0] == 1.0
+    img = basic_project(cloud_of([[5.0, 5.0, 0.0]]))
+    assert img.data[0, 455, 0] == 1.0
     assert img.data.sum() == 1.0
 
 
@@ -76,7 +76,7 @@ def test_same_cloud_same_image():
 
 def test_leaky_encodes_coordinates():
     c = cloud_of([[0.2, -0.4, 0.6]])
-    img = basic_project_leaky(c, size=64)
+    img = basic_project_leaky(c)
     r, colv, pt, ch = img.leak_map[0]
     assert img.grad_path is GradPath.COORDINATE_LEAK
     expected = (np.array([0.2, -0.4, 0.6]) + 1.0) / 2.0
@@ -94,7 +94,7 @@ def test_leaky_intensity_decodes_back():
 def test_leaky_collision_last_writer_wins():
     # both points fall in the same pixel; point 1 (later) wins
     c = cloud_of([[0.001, 0.001, 0.1], [0.002, 0.002, 0.9]])
-    img = basic_project_leaky(c, size=8)
+    img = basic_project_leaky(c)
     assert set(img.leak_map[:, 2].tolist()) == {1}
     r, colv = img.leak_map[0, 0], img.leak_map[0, 1]
     assert img.data[r, colv, 2] == pytest.approx((0.9 + 1) / 2)
@@ -123,13 +123,15 @@ def test_leaky_matches_loop_oracle():
     clouds += [augment(c, AugmentConfig(seed=i)) for i, c in enumerate(clouds)]
     clouds.append(cloud_of(1.3 * clouds[0].points))  # many points out of frame
     assert any(np.abs(c.points[:, :2]).max() >= 1.0 for c in clouds)
-    for size in (456, 32):  # 32 pixels: many collisions
-        for c in clouds:
-            img = basic_project_leaky(c, size=size)
-            data, links = leaky_loop_oracle(c, size)
-            assert np.array_equal(img.data, data)
-            assert len(img.leak_map) == len(links)
-            assert set(map(tuple, img.leak_map.tolist())) == links
+    collisions = 0
+    for c in clouds:
+        img = basic_project_leaky(c)
+        data, links = leaky_loop_oracle(c, SIZE)
+        assert np.array_equal(img.data, data)
+        assert len(img.leak_map) == len(links)
+        assert set(map(tuple, img.leak_map.tolist())) == links
+        collisions += len(np.unique(c.points, axis=0)) - len(links) // 3
+    assert collisions > 0  # distinct points shared a pixel: last writer won
 
 
 def test_leaky_leak_map_covers_lit_pixels():
