@@ -39,12 +39,18 @@ class Graph:
         e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         e = np.sort(e, axis=1)
         if len(e):
-            e = np.unique(e, axis=0)
             if (e[:, 0] == e[:, 1]).any():
                 raise ValueError("self-loop in edge list")
             if e.max() >= self.n_vertices or e.min() < 0:
                 raise ValueError("edge index out of range")
+            e = _unique_pairs(e[:, 0], e[:, 1], self.n_vertices)
         object.__setattr__(self, "edges", e)
+
+
+def _unique_pairs(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """Sorted unique (E, 2) rows of the pairs (a, b), 0 <= a, b < m, found
+    on the integer keys a * m + b."""
+    return np.stack(np.divmod(np.unique(a * m + b), m), axis=1)
 
 
 @dataclass
@@ -66,18 +72,41 @@ class GridEmbedding:
 # ---------------------------------------------------------------------------
 # balanced KMeans
 
+def _sq_dists(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(N, K) squared distances from points to centres, one coordinate
+    column at a time. The terms add in x, y, z order, as
+    ((pts[:, None] - centers) ** 2).sum(-1) adds them, so the two agree
+    bit for bit."""
+    d2 = (pts[:, 0:1] - centers[:, 0]) ** 2
+    d2 += (pts[:, 1:2] - centers[:, 1]) ** 2
+    d2 += (pts[:, 2:3] - centers[:, 2]) ** 2
+    return d2
+
+
+def _recentre(pts: np.ndarray, assign: np.ndarray, centers: np.ndarray) -> None:
+    """Move every non-empty cluster's centre to the mean of its members.
+    bincount adds the members in index order, as pts[assign == i].mean(0)
+    does; an empty cluster keeps its centre."""
+    k = len(centers)
+    counts = np.bincount(assign, minlength=k)
+    filled = counts > 0
+    for d in range(3):
+        sums = np.bincount(assign, weights=pts[:, d], minlength=k)
+        centers[filled, d] = sums[filled] / counts[filled]
+
+
 def _kmeanspp_init(pts: np.ndarray, k: int, rng) -> np.ndarray:
     n = len(pts)
     centers = np.empty((k, 3))
     centers[0] = pts[rng.integers(n)]
-    d2 = ((pts - centers[0]) ** 2).sum(1)
+    d2 = _sq_dists(pts, centers[:1])[:, 0]
     for i in range(1, k):
         total = d2.sum()
         if total <= 0.0:
             centers[i] = pts[rng.integers(n)]
         else:
             centers[i] = pts[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((pts - centers[i]) ** 2).sum(1))
+        d2 = np.minimum(d2, _sq_dists(pts, centers[i:i + 1])[:, 0])
     return centers
 
 
@@ -103,29 +132,28 @@ def balanced_kmeans(cloud: PointCloud, k: int = CLUSTERS, alpha: float = CLUSTER
     While any cluster exceeds the cap ceil(alpha*N/k), its member farthest
     from the cluster center is moved to the nearest center whose cluster is
     still below the cap. Centers are recomputed once after balancing, so
-    every output cluster satisfies the cap.
+    every output cluster satisfies the cap. Inputs whose k clusters at the
+    cap cannot hold all N points raise ValueError before any Lloyd step.
     """
     pts = cloud.points
     n = len(pts)
-    if n < k:
-        raise ValueError(f"need at least {k} points, got {n}")
+    if k < 1 or not np.isfinite(alpha) or n < k or k * cluster_cap(n, k, alpha) < n:
+        raise ValueError(f"balanced_kmeans cannot put n={n} points into k={k} clusters "
+                         f"with alpha={alpha}: it needs k >= 1, n >= k, a finite alpha "
+                         f"and k * ceil(alpha * n / k) >= n")
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_init(pts, k, rng)
 
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(KMEANS_ITERS):
-        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
-        new_assign = d2.argmin(1)
+        new_assign = _sq_dists(pts, centers).argmin(1)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for i in range(k):
-            sel = assign == i
-            if sel.any():
-                centers[i] = pts[sel].mean(0)
+        _recentre(pts, assign, centers)
 
     cap = cluster_cap(n, k, alpha)
-    d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
+    d2 = _sq_dists(pts, centers)
     sizes = np.bincount(assign, minlength=k)
     while True:
         over = np.flatnonzero(sizes > cap)
@@ -140,11 +168,9 @@ def balanced_kmeans(cloud: PointCloud, k: int = CLUSTERS, alpha: float = CLUSTER
         sizes[i] -= 1
         sizes[target] += 1
 
-    for i in range(k):
-        sel = assign == i
-        if sel.any():
-            centers[i] = pts[sel].mean(0)
-    members = [np.flatnonzero(assign == i) for i in range(k)]
+    _recentre(pts, assign, centers)
+    order = np.argsort(assign, kind="stable")  # each cluster's members ascending
+    members = np.split(order, np.cumsum(sizes)[:-1])
     return ClusterHierarchy(centers=centers, members=members, k=k)
 
 
@@ -252,8 +278,7 @@ def _edges_from_simplices(simplices: np.ndarray, m: int) -> np.ndarray:
     """Sorted unique (u < v) edges of a (T, d+1) array of sorted simplices
     over m vertices."""
     a, b = np.triu_indices(simplices.shape[1], 1)
-    keys = np.unique(simplices[:, a] * m + simplices[:, b])
-    return np.stack(np.divmod(keys, m), axis=1)
+    return _unique_pairs(simplices[:, a], simplices[:, b], m)
 
 
 def _connected_many(sizes: list, edge_sets: list) -> np.ndarray:
@@ -630,6 +655,15 @@ def build_hierarchy(cloud: PointCloud, seed: int = 0) -> ClusterHierarchy:
     return h
 
 
+def _check_cells(cells: np.ndarray, gs: int, what: str) -> None:
+    """Raise ValueError unless the (M, 2) cells lie inside a gs x gs grid
+    and are distinct, i.e. their keys row * gs + col are."""
+    if len(cells) and (cells.min() < 0 or cells.max() >= gs):
+        raise ValueError(f"{what} has cells outside its {gs}x{gs} grid")
+    if len(np.unique(cells[:, 0] * gs + cells[:, 1])) != len(cells):
+        raise ValueError(f"{what} not injective")
+
+
 def draw_image(cloud: PointCloud, hierarchy: ClusterHierarchy,
                top_embed: GridEmbedding, within_embeds: list) -> MappedImage:
     """Compose the final image: cluster i owns the pixel block of its top
@@ -639,15 +673,13 @@ def draw_image(cloud: PointCloud, hierarchy: ClusterHierarchy,
     k = hierarchy.k
     if len(within_embeds) != k or len(top_embed.cells) != k:
         raise ValueError("embedding does not match hierarchy")
-    if len(np.unique(top_embed.cells, axis=0)) != k:
-        raise ValueError("top embedding not injective")
+    _check_cells(top_embed.cells, top_embed.grid_size, "top embedding")
     gs_in = within_embeds[0].grid_size
     pixels = []
     for i, (mem, emb) in enumerate(zip(hierarchy.members, within_embeds)):
         if len(emb.cells) != len(mem):
             raise ValueError(f"cluster {i}: embedding size mismatch")
-        if len(mem) and len(np.unique(emb.cells, axis=0)) != len(mem):
-            raise ValueError(f"cluster {i}: embedding not injective")
+        _check_cells(emb.cells, gs_in, f"cluster {i}: embedding")
         pixels.append(gs_in * top_embed.cells[i] + emb.cells)
     rows, cols = np.concatenate(pixels).T
     return leaky_image(cloud, top_embed.grid_size * gs_in, rows, cols,

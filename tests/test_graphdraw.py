@@ -14,6 +14,7 @@ from cloudmap.project import GradPath
 
 from bowyer_watson_oracle import bowyer_watson_oracle, delaunay3_oracle
 from grid_embed_oracle import grid_embed_oracle
+from kmeans_oracle import kmeans_oracle
 
 
 def edge_set(graph):
@@ -67,6 +68,93 @@ def test_kmeans_rejects_small_cloud():
         balanced_kmeans(PointCloud(np.zeros((10, 3))), k=32)
 
 
+def assert_same_clusters(got, want):
+    assert np.array_equal(got.centers, want.centers)
+    assert got.k == want.k and len(got.members) == len(want.members)
+    for a, b in zip(got.members, want.members):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def kmeans_cloud(seed, n, levels):
+    """n points uniform in [-1, 1]^3, or on a grid of `levels` values per
+    axis, which repeats points and ties distances in argmin."""
+    rng = np.random.default_rng(seed)
+    if levels is None:
+        return PointCloud(rng.uniform(-1, 1, (n, 3)))
+    return PointCloud(rng.integers(0, levels, (n, 3)) / levels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 260), st.sampled_from((None, 1, 2, 3)),
+       st.floats(1.0, 2.0), st.integers(0, 2**32 - 1))
+def test_kmeans_matches_frozen_oracle(k, extra, levels, alpha, seed):
+    cloud = kmeans_cloud(seed, k + extra, levels)
+    assert_same_clusters(balanced_kmeans(cloud, k=k, alpha=alpha, seed=seed),
+                         kmeans_oracle(cloud, k=k, alpha=alpha, seed=seed))
+
+
+# 24 points on the x axis whose cluster 5 empties at the second Lloyd step
+# (k = 6, seed 11640) and stays empty when no cluster exceeds the cap
+LLOYD_EMPTIES = [1.9, 2.2, 19.5, 19.5, 19.5, 22.2, 22.6, 22.6, 23.3, 23.3, 24.1, 24.1,
+                 24.1, 26.2, 27.8, 28.4, 42.4, 48.9, 49.4, 55.6, 55.6, 57.0, 57.0, 58.2]
+
+
+@pytest.mark.parametrize("alpha", [1.0, 6.0])
+def test_kmeans_matches_oracle_when_a_cluster_empties(monkeypatch, alpha):
+    pts = np.zeros((24, 3))
+    pts[:, 0] = LLOYD_EMPTIES
+    cloud = PointCloud(pts)
+    empties = []
+    recentre = graphdraw._recentre
+
+    def spy(pts, assign, centers):
+        empties.append(int((np.bincount(assign, minlength=len(centers)) == 0).sum()))
+        return recentre(pts, assign, centers)
+
+    monkeypatch.setattr(graphdraw, "_recentre", spy)
+    got = balanced_kmeans(cloud, k=6, alpha=alpha, seed=11640)
+    assert empties[0] == 0 and empties[1] == 1  # emptied by a Lloyd step
+    assert_same_clusters(got, kmeans_oracle(cloud, k=6, alpha=alpha, seed=11640))
+    assert (len(got.members[5]) == 0) == (alpha == 6.0)
+
+
+@pytest.mark.parametrize("name, pts, k", [
+    ("duplicates", np.repeat(np.random.default_rng(3).uniform(-1, 1, (20, 3)), 5, axis=0), 32),
+    ("n == k", np.random.default_rng(4).uniform(-1, 1, (32, 3)), 32),
+    ("coincident", np.full((50, 3), 0.25), 32),  # kmeans++ takes its total <= 0 branch
+    # the third centre repeats a site, so its cluster is empty from the first step
+    ("two sites", np.repeat([[0.0, 0, 0], [1, 1, 1]], 3, axis=0), 3),
+])
+def test_kmeans_matches_oracle_on_edge_cases(name, pts, k):
+    cloud = PointCloud(pts)
+    for seed in range(3):
+        assert_same_clusters(balanced_kmeans(cloud, k=k, seed=seed),
+                             kmeans_oracle(cloud, k=k, seed=seed))
+
+
+@pytest.mark.parametrize("kw", [dict(k=0), dict(k=-3), dict(alpha=float("nan")),
+                                dict(alpha=float("inf")), dict(alpha=0.5),
+                                dict(alpha=0.0), dict(alpha=-1.0)])
+def test_kmeans_rejects_bad_k_or_alpha_before_lloyd(monkeypatch, kw):
+    def no_init(*a):
+        raise AssertionError("kmeans++ ran")
+
+    monkeypatch.setattr(graphdraw, "_kmeanspp_init", no_init)
+    cloud = PointCloud(np.random.default_rng(5).uniform(-1, 1, (256, 3)))
+    args = dict(k=32, alpha=1.2) | kw
+    with pytest.raises(ValueError, match=rf"n=256 .*k={args['k']} .*alpha={args['alpha']}"):
+        balanced_kmeans(cloud, seed=0, **kw)
+
+
+def test_kmeans_accepts_the_smallest_alpha_that_fits():
+    # 256 points in 32 clusters fit only at a cap of 8: ceil(alpha * 8) >= 8
+    cloud = PointCloud(np.random.default_rng(6).uniform(-1, 1, (256, 3)))
+    h = balanced_kmeans(cloud, k=32, alpha=0.88, seed=0)
+    assert [len(m) for m in h.members] == [8] * 32
+    with pytest.raises(ValueError, match="alpha=0.875"):
+        balanced_kmeans(cloud, k=32, alpha=0.875, seed=0)
+
+
 def test_cap_property_random_clouds():
     for s in range(20):
         n = int(np.random.default_rng([20, s]).integers(64, 2049))
@@ -84,9 +172,31 @@ def test_graph_canonicalizes_edges():
     assert edge_set(g) == {(0, 2), (1, 3)}
 
 
-def test_graph_rejects_self_loop():
-    with pytest.raises(ValueError):
-        Graph(3, np.array([[1, 1]]))
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 200), st.integers(0, 2**32 - 1))
+def test_graph_edges_equal_row_unique(n, n_edges, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, n, n_edges)
+    v = (u + rng.integers(1, n, n_edges)) % n  # never u
+    e = np.stack([u, v], axis=1)
+    e = np.concatenate([e, e[:n_edges // 3, ::-1], e[:n_edges // 4]])  # reversed, repeated
+    e = e[rng.permutation(len(e))]
+    got = Graph(n, e).edges
+    want = np.unique(np.sort(e, 1), axis=0).reshape(-1, 2)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("edges, match", [
+    ([[1, 1]], "self-loop"),
+    ([[0, 1], [2, 2]], "self-loop"),
+    ([[0, 1], [3, 1]], "out of range"),
+    ([[0, 1], [-1, 2]], "out of range"),
+    ([[0, 1], [0, 1], [1, 0], [2, 5]], "out of range"),
+])
+def test_graph_rejects_bad_edges(edges, match):
+    with pytest.raises(ValueError, match=match):
+        Graph(3, np.array(edges))
 
 
 def test_delaunay_rejects_single_point():
@@ -546,6 +656,35 @@ def test_draw_image_rejects_mismatched_embedding():
     top = GridEmbedding(16, np.array([[0, 0]]))
     with pytest.raises(ValueError):
         draw_image(cloud, h, top, [GridEmbedding(16, np.empty((0, 2), dtype=np.int64))])
+
+
+def test_draw_image_rejects_bad_embeddings():
+    cloud = PointCloud(np.zeros((3, 3)))
+    h = ClusterHierarchy(centers=np.zeros((2, 3)), members=[np.array([0, 1]), np.array([2])], k=2)
+    top = GridEmbedding(16, np.array([[0, 0], [4, 1]]))
+    within = [GridEmbedding(16, np.array([[2, 3], [3, 2]])), GridEmbedding(16, np.array([[0, 0]]))]
+    draw_image(cloud, h, top, within)
+    for bad_top, match in (([[4, 1], [4, 1]], "top embedding not injective"),
+                           ([[0, 0], [16, 1]], "top embedding has cells outside"),
+                           ([[0, 0], [1, -1]], "top embedding has cells outside")):
+        with pytest.raises(ValueError, match=match):
+            draw_image(cloud, h, GridEmbedding(16, np.array(bad_top)), within)
+    for bad, match in (([[2, 3], [2, 3]], "cluster 0: embedding not injective"),
+                       ([[2, 3], [3, 16]], "cluster 0: embedding has cells outside"),
+                       ([[-1, 3], [3, 2]], "cluster 0: embedding has cells outside")):
+        with pytest.raises(ValueError, match=match):
+            draw_image(cloud, h, top, [GridEmbedding(16, np.array(bad)), within[1]])
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("kind", SYNTH_KINDS)
+def test_map_graphdraw_equals_map_with_frozen_kmeans(monkeypatch, kind, n):
+    cloud = synth_shape(kind, n, seed=[n, 1, SYNTH_KINDS.index(kind), 0])
+    got = map_graphdraw(cloud, seed=3)
+    monkeypatch.setattr(graphdraw, "balanced_kmeans", kmeans_oracle)
+    want = map_graphdraw(cloud, seed=3)
+    assert np.array_equal(got.data, want.data)
+    assert np.array_equal(got.leak_map, want.leak_map)
 
 
 def test_map_graphdraw_every_point_lit():
