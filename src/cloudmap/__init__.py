@@ -3,9 +3,9 @@ FGSM harness that probes each mapping's gradient topology."""
 
 from .attack import (AttackReport, BLOCKED_GRADIENT, FGSMResult, asr,
                      attack_suite, fgsm, input_point_gradient)
-from .cloud import (AugmentConfig, Mesh, OffParseError, PointCloud,
-                    SYNTH_KINDS, augment, load_off, normalize_unit, read_xyz,
-                    sample_surface, synth_shape, write_xyz)
+from .cloud import (Mesh, OffParseError, PointCloud, SYNTH_KINDS, augment,
+                    load_off, normalize_unit, read_xyz, sample_surface,
+                    synth_shape, write_xyz)
 from .graphdraw import (ClusterHierarchy, Graph, GridEmbedding,
                         balanced_kmeans, build_hierarchy, delaunay3,
                         delaunay_oracle, draw_image, grid_embed,

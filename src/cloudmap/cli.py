@@ -1,6 +1,8 @@
 """Experiment driver: build datasets, train a pipeline, evaluate it, run
 the attack, export mapped images. Batch only; main validates the config
-before any command writes anything, and runs are deterministic given the seed.
+before any command writes anything. A run is deterministic given its seed
+and a fixed BLAS thread count: TinyNet's matmuls add in an order that
+follows the thread split (ROADMAP.md, item 7).
 
 Config is a JSON file plus flag overrides. DEFAULT_CONFIG is the schema:
 each key's default, whose type a value must have; unknown keys are
@@ -14,11 +16,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 from .attack import attack_suite
-from .cloud import (AugmentConfig, SYNTH_KINDS, load_off, normalize_unit,
-                    read_xyz, sample_surface, synth_shape, write_xyz)
+from .cloud import (SYNTH_KINDS, load_off, normalize_unit, read_xyz,
+                    sample_surface, synth_shape, write_xyz)
 from .graphdraw import check_cloud_size
 from .imagefile import write_pgm, write_ppm
 from .net import (TrainConfig, evaluate, load_checkpoint, save_checkpoint,
@@ -117,6 +118,8 @@ def validate_config(cfg: dict) -> None:
             raise ValueError("an off_dir dataset needs the key 'path'")
         if not os.path.isdir(ds["path"]):
             raise ValueError(f"OFF directory not found: {ds['path']}")
+        if not any(_off_files(os.path.join(ds["path"], kind)) for kind in _class_names(cfg)):
+            raise ValueError(f"no class folder of {ds['path']} holds a .off file")
         if not 0 < ds["test_fraction"] < 1:
             raise ValueError("test_fraction must lie strictly between 0 and 1")
     else:
@@ -132,9 +135,8 @@ def validate_config(cfg: dict) -> None:
 
 def train_config(cfg: dict) -> TrainConfig:
     tr = cfg["train"]
-    aug = AugmentConfig(seed=cfg["seed"]) if tr["augment"] else None
     return TrainConfig(**{key: tr[key] for key in _TRAIN_KEYS}, seed=cfg["seed"],
-                       augment_cfg=aug)
+                       augment_cfg=tr["augment"])
 
 
 def _dataset_dir(cfg: dict, split: str) -> str:
@@ -142,6 +144,7 @@ def _dataset_dir(cfg: dict, split: str) -> str:
 
 
 def _class_names(cfg: dict) -> list:
+    """The classes in label order: shape kinds, or sorted class folders."""
     ds = cfg["dataset"]
     if ds["type"] == "synthetic":
         return list(ds["classes"])
@@ -149,42 +152,38 @@ def _class_names(cfg: dict) -> list:
                   if os.path.isdir(os.path.join(ds["path"], d)))
 
 
-def cmd_dataset(cfg: dict) -> None:
+def _off_files(folder: str) -> list:
+    return sorted(f for f in os.listdir(folder) if f.endswith(".off"))
+
+
+def _class_clouds(cfg: dict, ci: int, kind: str, split_idx: int) -> list:
+    """Class ci's clouds in split 0 (train) or 1 (test). An off_dir class of
+    2+ meshes keeps one or more in each split; a single mesh stays in train."""
     ds = cfg["dataset"]
+    if ds["type"] == "synthetic":
+        count = (ds["train_per_class"], ds["test_per_class"])[split_idx]
+        return [synth_shape(kind, ds["points"], seed=[cfg["seed"], split_idx, ci, idx])
+                for idx in range(count)]
+    folder = os.path.join(ds["path"], kind)
+    files = _off_files(folder)
+    n_test = min(len(files) - 1, max(1, round(ds["test_fraction"] * len(files))))
+    cut = len(files) - n_test
+    chosen = files[cut:] if split_idx else files[:cut]
+    return [normalize_unit(sample_surface(load_off(os.path.join(folder, fname)), ds["points"],
+                                          seed=[cfg["seed"], split_idx, ci, idx]))
+            for idx, fname in enumerate(chosen)]
+
+
+def cmd_dataset(cfg: dict) -> None:
     for split_idx, split in enumerate(("train", "test")):
         out_dir = _dataset_dir(cfg, split)
         os.makedirs(out_dir, exist_ok=True)
         rows = []
-        if ds["type"] == "synthetic":
-            count = ds["train_per_class"] if split == "train" else ds["test_per_class"]
-            for ci, kind in enumerate(ds["classes"]):
-                for idx in range(count):
-                    cloud = synth_shape(kind, ds["points"],
-                                        seed=[cfg["seed"], split_idx, ci, idx])
-                    # labels are positions in the configured class list, so a
-                    # subset of kinds still yields contiguous labels
-                    cloud = replace(cloud, label=ci)
-                    name = f"{kind}_{idx:04d}.xyz"
-                    write_xyz(cloud, os.path.join(out_dir, name))
-                    rows.append((name, cloud.label, kind))
-        else:
-            classes = _class_names(cfg)
-            frac = ds["test_fraction"]
-            for ci, kind in enumerate(classes):
-                files = sorted(f for f in os.listdir(os.path.join(ds["path"], kind))
-                               if f.endswith(".off"))
-                n_test = max(1, int(round(frac * len(files)))) if len(files) > 1 else 0
-                cut = len(files) - n_test
-                chosen = files[cut:] if split == "test" else files[:cut]
-                for idx, fname in enumerate(chosen):
-                    mesh = load_off(os.path.join(ds["path"], kind, fname))
-                    cloud = sample_surface(mesh, ds["points"],
-                                           seed=[cfg["seed"], split_idx, ci, idx])
-                    cloud = normalize_unit(cloud)
-                    cloud = replace(cloud, label=ci)
-                    name = f"{kind}_{idx:04d}.xyz"
-                    write_xyz(cloud, os.path.join(out_dir, name))
-                    rows.append((name, ci, kind))
+        for ci, kind in enumerate(_class_names(cfg)):
+            for idx, cloud in enumerate(_class_clouds(cfg, ci, kind, split_idx)):
+                name = f"{kind}_{idx:04d}.xyz"
+                write_xyz(cloud, os.path.join(out_dir, name))
+                rows.append((name, ci, kind))
         with open(os.path.join(out_dir, "labels.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["file", "label", "kind"])
@@ -198,11 +197,15 @@ def load_split(cfg: dict, split: str) -> list:
     if not os.path.isfile(labels_path):
         raise FileNotFoundError(
             f"{labels_path} not found; run the dataset command first")
+    classes = _class_names(cfg)
     clouds = []
     with open(labels_path, newline="") as fh:
         for row in csv.DictReader(fh):
-            clouds.append(read_xyz(os.path.join(out_dir, row["file"]),
-                                   label=int(row["label"])))
+            label = int(row["label"])
+            if not 0 <= label < len(classes) or classes[label] != row["kind"]:
+                raise ValueError(f"{labels_path}: {row['file']} is not class {label} of "
+                                 f"{classes}; run the dataset command again")
+            clouds.append(read_xyz(os.path.join(out_dir, row["file"]), label=label))
     return clouds
 
 
@@ -210,14 +213,10 @@ def _checkpoint_stem(cfg: dict) -> str:
     return os.path.join(cfg["out"], f"ckpt_{cfg['pipeline']}")
 
 
-def _num_classes(clouds: list) -> int:
-    return max(c.label for c in clouds) + 1
-
-
 def cmd_train(cfg: dict) -> None:
     trainset = load_split(cfg, "train")
     tcfg = train_config(cfg)
-    pipeline = make_pipeline(cfg["pipeline"], _num_classes(trainset),
+    pipeline = make_pipeline(cfg["pipeline"], len(_class_names(cfg)),
                              seed=cfg["seed"], map_seed=cfg["seed"])
     _, history = train(pipeline, trainset, tcfg)
     stem = _checkpoint_stem(cfg)
@@ -226,21 +225,22 @@ def cmd_train(cfg: dict) -> None:
     print(f"checkpoint {stem}.bin, final loss {history[-1]:.6f}")
 
 
-def _load_pipeline(cfg: dict, num_classes: int):
+def _load_pipeline(cfg: dict):
+    num_classes = len(_class_names(cfg))
     stem = _checkpoint_stem(cfg)
     if not os.path.isfile(stem + ".bin"):
         raise FileNotFoundError(f"{stem}.bin not found; run the train command first")
     net = load_checkpoint(stem)
     if net.num_classes != num_classes:
         raise ValueError(f"checkpoint has {net.num_classes} classes, "
-                         f"dataset has {num_classes}")
+                         f"the class list has {num_classes}")
     return make_pipeline(cfg["pipeline"], num_classes, seed=cfg["seed"],
                          net=net, map_seed=cfg["seed"])
 
 
 def cmd_eval(cfg: dict) -> None:
     testset = load_split(cfg, "test")
-    pipeline = _load_pipeline(cfg, _num_classes(testset))
+    pipeline = _load_pipeline(cfg)
     inst, cls = evaluate(pipeline.net, pipeline, testset)
     path = os.path.join(cfg["out"], f"metrics_{cfg['pipeline']}.json")
     with open(path, "w") as fh:
@@ -251,7 +251,7 @@ def cmd_eval(cfg: dict) -> None:
 
 def cmd_attack(cfg: dict) -> None:
     testset = load_split(cfg, "test")
-    pipeline = _load_pipeline(cfg, _num_classes(testset))
+    pipeline = _load_pipeline(cfg)
     report = attack_suite(pipeline, testset, epsilon=cfg["epsilon"])
     base = os.path.join(cfg["out"], f"attack_{cfg['pipeline']}")
     report.to_json(base + ".json")
@@ -263,7 +263,7 @@ def cmd_attack(cfg: dict) -> None:
 
 def cmd_export_images(cfg: dict) -> None:
     testset = load_split(cfg, "test")
-    pipeline = make_pipeline(cfg["pipeline"], _num_classes(testset),
+    pipeline = make_pipeline(cfg["pipeline"], len(_class_names(cfg)),
                              seed=cfg["seed"], map_seed=cfg["seed"])
     img_dir = os.path.join(cfg["out"], "images")
     os.makedirs(img_dir, exist_ok=True)

@@ -64,12 +64,6 @@ class PointCloud:
         return PointCloud(points, self.label)
 
 
-@dataclass(frozen=True)
-class AugmentConfig:
-    """Training-time augmentation: the seed of the fixed AUG_* recipe."""
-    seed: int = 0
-
-
 def load_off(path) -> Mesh:
     """Parse an ASCII OFF file.
 
@@ -192,7 +186,7 @@ def _rot_z(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def augment(cloud: PointCloud, cfg: AugmentConfig) -> PointCloud:
+def augment(cloud: PointCloud, seed: int) -> PointCloud:
     """Rotate about z, drop points, scale, then shift, by the AUG_* recipe.
 
     Dropout draws a rate uniformly in [0, AUG_MAX_DROPOUT] and overwrites
@@ -200,7 +194,7 @@ def augment(cloud: PointCloud, cfg: AugmentConfig) -> PointCloud:
     the point count stays fixed and at least ceil((1-AUG_MAX_DROPOUT)*N)
     original points remain.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     pts = cloud.points @ _rot_z(rng.uniform(-AUG_MAX_ROTATION, AUG_MAX_ROTATION)).T
     n = len(pts)
     drop = rng.choice(n, size=int(rng.uniform(0.0, AUG_MAX_DROPOUT) * n), replace=False)

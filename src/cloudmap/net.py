@@ -19,7 +19,7 @@ from functools import reduce
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cloud import AugmentConfig, augment
+from .cloud import augment
 
 HIDDEN = 16
 ADAM_BETAS = (0.9, 0.999)
@@ -37,9 +37,12 @@ class TrainConfig:
     weight_decay: float = 0.0001
     batch_size: int = 16
     seed: int = 0
-    augment_cfg: AugmentConfig | None = None  # None = no augmentation
+    augment_cfg: bool = False  # re-augment every sample each epoch; None = off
 
     def __post_init__(self):
+        if not isinstance(self.augment_cfg, (bool, type(None))):
+            raise ValueError(f"augment_cfg must be None, False or True, got {self.augment_cfg!r}")
+        self.augment_cfg = bool(self.augment_cfg)
         if self.epochs < 1 or self.batch_size < 1 or self.lr_step < 1:
             raise ValueError("epochs, batch_size and lr_step must be >= 1")
         if self.lr <= 0 or self.lr_gamma <= 0:
@@ -234,7 +237,7 @@ def train(pipeline, dataset: list, cfg: TrainConfig):
     net = pipeline.net
     state = init_adam_state(net)
     static_inputs = None
-    if cfg.augment_cfg is None:
+    if not cfg.augment_cfg:
         static_inputs = [pipeline.net_input(c) for c in dataset]
 
     history = []
@@ -252,9 +255,9 @@ def train(pipeline, dataset: list, cfg: TrainConfig):
                 if static_inputs is not None:
                     x = static_inputs[si]
                 else:
-                    aug = AugmentConfig(seed=int(np.random.default_rng(
-                        [cfg.seed, 77, epoch, int(si)]).integers(2 ** 31)))
-                    x = pipeline.net_input(augment(cloud, aug))
+                    aug_seed = int(np.random.default_rng(
+                        [cfg.seed, 77, epoch, int(si)]).integers(2 ** 31))
+                    x = pipeline.net_input(augment(cloud, aug_seed))
                 loss, grads, _ = _loss_and_grads(net, x, cloud.label, 1,
                                                  input_grad=False)
                 if not np.isfinite(loss):

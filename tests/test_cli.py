@@ -395,27 +395,75 @@ def test_train_without_dataset_fails(tmp_path, capsys):
 TET_OFF = "OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n3 0 1 3\n3 0 2 3\n3 1 2 3\n"
 
 
-def test_off_dir_single_mesh_class_stays_in_train(tmp_path, capsys):
-    meshes = {"a": 3, "b": 1}
+def write_off_dir(tmp_path, meshes, **dataset):
+    """A folder of class folders, meshes[kind] tetrahedra each, and a config."""
     for kind, count in meshes.items():
         (tmp_path / "meshes" / kind).mkdir(parents=True)
         for i in range(count):
             (tmp_path / "meshes" / kind / f"m{i}.off").write_text(TET_OFF)
-    path = write_config(tmp_path, dataset={"type": "off_dir",
-                                           "path": str(tmp_path / "meshes"),
-                                           "points": 64})
-    out = str(tmp_path / "out")
-    assert main(["dataset", "--config", path, "--out", out]) == 0
-    capsys.readouterr()
+    return write_config(tmp_path, dataset={"type": "off_dir", "points": 64,
+                                           "path": str(tmp_path / "meshes"), **dataset})
+
+
+def split_kinds(out):
     rows = {}
     for split in ("train", "test"):
         with open(os.path.join(out, "dataset", split, "labels.csv"), newline="") as fh:
             rows[split] = [row["kind"] for row in csv.DictReader(fh)]
+    return rows
+
+
+def test_off_dir_single_mesh_class_stays_in_train(tmp_path, capsys):
+    # b sorts last and has no test cloud, so a class count read off the
+    # test labels would disagree with the checkpoint's
+    meshes = {"a": 3, "b": 1}
+    path = write_off_dir(tmp_path, meshes)
+    out = str(tmp_path / "out")
+    assert main(["dataset", "--config", path, "--out", out]) == 0
+    rows = split_kinds(out)
     # file names restart at 0 in each split, so mesh identity shows in the
     # counts: every mesh lands in exactly one split
     for kind, count in meshes.items():
         assert rows["train"].count(kind) + rows["test"].count(kind) == count
     assert rows["test"] == ["a"]
+    for command in ("train", "eval", "attack", "export-images"):
+        assert main([command, "--config", path, "--out", out]) == 0, capsys.readouterr().err
+
+
+def test_off_dir_split_keeps_a_train_mesh_per_class(tmp_path, capsys):
+    # round(0.75 * 2) = 2 meshes would leave train empty
+    path = write_off_dir(tmp_path, {"a": 2, "b": 2}, test_fraction=0.75)
+    out = str(tmp_path / "out")
+    assert main(["dataset", "--config", path, "--out", out]) == 0
+    assert split_kinds(out) == {"train": ["a", "b"], "test": ["a", "b"]}
+    assert main(["train", "--config", path, "--out", out]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layout", [{}, {"a": ["notes.txt"]}, {"a": [], "b": ["m0.obj"]}])
+def test_off_dir_without_meshes_is_a_config_error(tmp_path, capsys, layout):
+    root = tmp_path / "meshes"
+    root.mkdir()
+    for kind, files in layout.items():
+        (root / kind).mkdir()
+        for fname in files:
+            (root / kind / fname).write_text(TET_OFF)
+    path = write_config(tmp_path, dataset={"type": "off_dir", "path": str(root), "points": 64})
+    out = tmp_path / "out"
+    assert main(["dataset", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: no class folder of {root} holds a .off file\n"
+    assert not out.exists()
+
+
+def test_train_on_a_dataset_of_another_class_list_fails(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["dataset", "--config", write_config(tmp_path), "--out", out]) == 0
+    path = write_config(tmp_path, dataset={"classes": ["sphere", "cube"]})
+    assert main(["train", "--config", path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    labels = os.path.join(out, "dataset", "train", "labels.csv")
+    assert err == (f"error: {labels}: torus_0000.xyz is not class 2 of ['sphere', 'cube']; "
+                   "run the dataset command again\n")
+    assert not os.path.exists(os.path.join(out, "ckpt_basic.bin"))
 
 
 def test_off_dir_without_path_is_a_config_error(tmp_path, capsys):

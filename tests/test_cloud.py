@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cloudmap.cloud import (AugmentConfig, Mesh, OffParseError, PointCloud,
-                            SYNTH_KINDS, augment, load_off, normalize_unit,
-                            read_xyz, sample_surface, synth_shape, write_xyz)
+from cloudmap.cloud import (Mesh, OffParseError, PointCloud, SYNTH_KINDS,
+                            augment, load_off, normalize_unit, read_xyz,
+                            sample_surface, synth_shape, write_xyz)
 
 UNIT_TET = """OFF
 4 4 0
@@ -175,7 +175,7 @@ def test_synth_shape_deterministic():
 
 def test_augment_keeps_count_and_label():
     cloud = synth_shape("sphere", 128, seed=0)
-    out = augment(cloud, AugmentConfig(seed=4))
+    out = augment(cloud, 4)
     assert out.n == cloud.n
     assert out.label == cloud.label
 
@@ -222,7 +222,7 @@ AUGMENT_INPUTS = (st.sampled_from(SYNTH_KINDS), st.integers(64, 1024),
 @example("sphere", 64, 0, 25)  # rate below 1/64: nothing is dropped
 def test_augment_is_rotate_drop_scale_shift(kind, n, cloud_seed, seed):
     cloud = synth_shape(kind, n, seed=cloud_seed)
-    out = augment(cloud, AugmentConfig(seed=seed))
+    out = augment(cloud, seed)
     assert out.n == cloud.n and out.label == cloud.label
     # a dropped point is a copy of the first survivor, and rows before that
     # survivor are all dropped, so row 0 holds the first survivor's image
@@ -252,14 +252,14 @@ def test_augment_is_rotate_drop_scale_shift(kind, n, cloud_seed, seed):
 @example("sphere", 64, 0, 25)
 def test_augment_equals_frozen_copy(kind, n, cloud_seed, seed):
     cloud = synth_shape(kind, n, seed=cloud_seed)
-    assert np.array_equal(augment(cloud, AugmentConfig(seed=seed)).points,
+    assert np.array_equal(augment(cloud, seed).points,
                           frozen_augment(cloud, seed).points)
 
 
 def test_augment_deterministic():
     cloud = synth_shape("torus", 128, seed=0)
-    a = augment(cloud, AugmentConfig(seed=6))
-    b = augment(cloud, AugmentConfig(seed=6))
+    a = augment(cloud, 6)
+    b = augment(cloud, 6)
     assert np.array_equal(a.points, b.points)
 
 

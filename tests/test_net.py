@@ -1,13 +1,13 @@
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cloudmap.cloud import SYNTH_KINDS, AugmentConfig, augment, synth_shape
+from cloudmap.cloud import SYNTH_KINDS, augment, synth_shape
 from cloudmap.net import (TinyNet, TrainConfig, _pool_relu, _pool_relu_back,
                           adam_step, evaluate, forward, init_adam_state,
                           load_checkpoint, loss_and_grad, lr_at, save_checkpoint,
@@ -290,10 +290,10 @@ def reference_train(pipeline, dataset, cfg):
             acc = {name: np.zeros_like(p) for name, p in net.params.items()}
             for si in batch:
                 cloud = dataset[si]
-                if cfg.augment_cfg is not None:
+                if cfg.augment_cfg:
                     aug_seed = int(np.random.default_rng(
                         [cfg.seed, 77, epoch, int(si)]).integers(2 ** 31))
-                    cloud = augment(cloud, replace(cfg.augment_cfg, seed=aug_seed))
+                    cloud = augment(cloud, aug_seed)
                 loss, grads, _ = loss_and_grad(net, pipeline.net_input(cloud),
                                                dataset[si].label)
                 losses.append(loss)
@@ -313,7 +313,7 @@ def test_train_equals_reference_loop_bit_for_bit(name, augmented):
     dataset = [synth_shape(kind, 128, seed=[s, k])
                for k, kind in enumerate(SYNTH_KINDS[:3]) for s in range(2)]
     cfg = TrainConfig(epochs=3, lr=0.01, batch_size=4, seed=5,
-                      augment_cfg=AugmentConfig() if augmented else None)
+                      augment_cfg=augmented)
     pipe = make_pipeline(name, 3, seed=6)
     ref = make_pipeline(name, 3, seed=6)
     _, history = train(pipe, dataset, cfg)
@@ -417,6 +417,30 @@ def test_lr_rejects_negative_epoch():
 def test_train_config_rejects_values_outside_its_rules(field, value, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", ["yes", 2, object()])
+def test_train_config_augment_cfg_is_none_false_or_true(value):
+    with pytest.raises(ValueError, match="^augment_cfg must be None, False or True"):
+        TrainConfig(augment_cfg=value)
+
+
+@pytest.mark.parametrize("value", [None, False, True])
+def test_train_augments_each_sample_each_epoch_only_when_on(monkeypatch, value):
+    seeds = []
+
+    def counting_augment(cloud, seed):
+        seeds.append(seed)
+        return augment(cloud, seed)
+
+    monkeypatch.setattr("cloudmap.net.augment", counting_augment)
+    dataset = [synth_shape(kind, 64, seed=[s, k])
+               for k, kind in enumerate(SYNTH_KINDS[:3]) for s in range(2)]
+    cfg = TrainConfig(epochs=2, batch_size=4, seed=8, augment_cfg=value)
+    train(make_pipeline("basic", 3, seed=0), dataset, cfg)
+    want = [int(np.random.default_rng([8, 77, epoch, si]).integers(2 ** 31))
+            for epoch in range(2) for si in range(len(dataset))] if value else []
+    assert sorted(seeds) == sorted(want)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from cloudmap.cloud import SYNTH_KINDS, AugmentConfig, PointCloud, augment, synth_shape
+from cloudmap.cloud import SYNTH_KINDS, PointCloud, augment, synth_shape
 from cloudmap.pipeline import MAPPERS, PIPELINE_NAMES, Pipeline, make_pipeline
 
 
@@ -67,7 +67,7 @@ def test_sparse_input_is_the_old_scaled_average_pool():
         return np.ones(3) * xhat + np.zeros(3)
 
     clouds = [synth_shape(kind, 128, seed=[2, ci]) for ci, kind in enumerate(SYNTH_KINDS)]
-    clouds += [augment(c, AugmentConfig(seed=i)) for i, c in enumerate(clouds)]
+    clouds += [augment(c, i) for i, c in enumerate(clouds)]
     clouds.append(PointCloud(1.3 * clouds[0].points))
     clouds += [synth_shape(kind, n, seed=[3, ci, n])
                for n in (256, 1024) for ci, kind in enumerate(SYNTH_KINDS)]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cloudmap.cloud import SYNTH_KINDS, AugmentConfig, PointCloud, augment, synth_shape
+from cloudmap.cloud import SYNTH_KINDS, PointCloud, augment, synth_shape
 from cloudmap.project import (SIZE, GradPath, MappedImage, basic_project,
                               basic_project_leaky, cloud_key, remap_frozen)
 from cloudmap.render import zbuffer
@@ -120,7 +120,7 @@ def leaky_loop_oracle(cloud, size):
 
 def test_leaky_matches_loop_oracle():
     clouds = [synth_shape(kind, 256, seed=[1, ci]) for ci, kind in enumerate(SYNTH_KINDS)]
-    clouds += [augment(c, AugmentConfig(seed=i)) for i, c in enumerate(clouds)]
+    clouds += [augment(c, i) for i, c in enumerate(clouds)]
     clouds.append(cloud_of(1.3 * clouds[0].points))  # many points out of frame
     assert any(np.abs(c.points[:, :2]).max() >= 1.0 for c in clouds)
     collisions = 0
