@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .net import forward, loss_and_grad, predict
+from .net import check_labeled, forward, loss_and_grad, predict
 from .pipeline import Pipeline
 from .project import GradPath, MappedImage, cloud_key, encode_slope
 
@@ -118,15 +118,12 @@ def attack_suite(pipeline: Pipeline, testset: list,
     the attack gradient. The attacked cloud goes through the full mapping
     again (same mapper seed), so a blocked pipeline reproduces its clean
     predictions bit for bit."""
-    if not testset:
-        raise ValueError("empty testset")
+    check_labeled(testset)
     outcomes = []
     clean_hits = 0
     attacked_hits = 0
     l2s = []
     for i, cloud in enumerate(testset):
-        if cloud.label is None:
-            raise ValueError(f"testset cloud {i} missing label")
         image = pipeline.map_image(cloud)
         clean_logits = forward(pipeline.net, pipeline.net_input_from_image(image))
         clean_pred = int(np.argmax(clean_logits))

@@ -200,12 +200,19 @@ def load_split(cfg: dict, split: str) -> list:
     classes = _class_names(cfg)
     clouds = []
     with open(labels_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            label = int(row["label"])
-            if not 0 <= label < len(classes) or classes[label] != row["kind"]:
-                raise ValueError(f"{labels_path}: {row['file']} is not class {label} of "
+        reader = csv.DictReader(fh)
+        for row in reader:
+            name, label, kind = (row.get(key) for key in ("file", "label", "kind"))
+            if None in (name, label, kind) or not label.isdecimal():
+                raise ValueError(f"{labels_path}:{reader.line_num}: expected a file, an "
+                                 f"integer label and a kind, got {row}")
+            label = int(label)
+            if label >= len(classes) or classes[label] != kind:
+                raise ValueError(f"{labels_path}: {name} is not class {label} of "
                                  f"{classes}; run the dataset command again")
-            clouds.append(read_xyz(os.path.join(out_dir, row["file"]), label=label))
+            clouds.append(read_xyz(os.path.join(out_dir, name), label=label))
+    if not clouds:
+        raise ValueError(f"{labels_path} lists no clouds")
     return clouds
 
 
@@ -273,13 +280,9 @@ def cmd_export_images(cfg: dict) -> None:
             continue
         seen.add(cloud.label)
         image = pipeline.map_image(cloud)
-        name = f"{cfg['pipeline']}_class{cloud.label}"
-        if image.channels == 1:
-            path = os.path.join(img_dir, name + ".pgm")
-            write_pgm(image.data[:, :, 0], path)
-        else:
-            path = os.path.join(img_dir, name + ".ppm")
-            write_ppm(image.data, path)
+        ext, write = (".pgm", write_pgm) if image.channels == 1 else (".ppm", write_ppm)
+        path = os.path.join(img_dir, f"{cfg['pipeline']}_class{cloud.label}{ext}")
+        write(image.data, path)
         print(path)
 
 

@@ -5,6 +5,7 @@ All randomized operations take an explicit seed and are pure functions of
 (inputs, seed); arrays are treated as immutable after construction.
 """
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,6 +55,8 @@ class PointCloud:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
             raise ValueError(f"points must be (N, 3) with N >= 1, got {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -311,12 +314,16 @@ def synth_shape(kind: str, n: int, seed: int) -> PointCloud:
 def write_xyz(cloud: PointCloud, path) -> None:
     """One "x y z" triple per line, %.17g so round-trips are exact."""
     with open(path, "w") as fh:
-        for x, y, z in cloud.points:
+        for x, y, z in cloud.points.tolist():
             fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
 
 
 def read_xyz(path, label: int | None = None) -> PointCloud:
-    pts = np.loadtxt(path, dtype=np.float64, ndmin=2)
+    with warnings.catch_warnings():  # an empty file is rejected below, naming it
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        pts = np.loadtxt(path, dtype=np.float64, ndmin=2)
+    if pts.size == 0:
+        raise ValueError(f"{path}: no points")
     if pts.shape[1] != 3:
         raise ValueError(f"{path}: expected 3 columns, got {pts.shape[1]}")
     if not np.isfinite(pts).all():

@@ -364,11 +364,10 @@ def delaunay3_many(point_sets: list) -> list:
         m = len(pts)
         if m < 2:
             raise ValueError("need at least 2 points")
-        uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
+        # rep holds each unique point's first occurrence
+        uniq, rep, inverse = np.unique(pts, axis=0, return_index=True, return_inverse=True)
         inverse = inverse.reshape(-1)
         nu = len(uniq)
-        rep = np.full(nu, m, dtype=np.int64)
-        np.minimum.at(rep, inverse, np.arange(m))
 
         edges = None
         if nu <= 3:
@@ -445,12 +444,11 @@ def _snap_targets(positions: np.ndarray, gs: int) -> tuple[np.ndarray, np.ndarra
     grid (PC1 across columns), visited by descending distance from the
     centroid."""
     m = len(positions)
-    ctr = positions - positions.mean(0)
+    ctr, vt, _ = _principal_frame(positions)
     if m == 1:
         proj = np.zeros((1, 2))
     else:
-        _, _, vt = np.linalg.svd(ctr, full_matrices=False)
-        axes = vt[:2] if len(vt) >= 2 else np.vstack([vt, np.zeros((2 - len(vt), 3))])
+        axes = vt[:2]
         for i in range(2):  # fix the sign ambiguity of each axis
             j = int(np.argmax(np.abs(axes[i])))
             if axes[i, j] < 0:

@@ -226,14 +226,19 @@ def adam_step(params: dict, grads: dict, state: dict, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 # training and evaluation
 
-def train(pipeline, dataset: list, cfg: TrainConfig):
-    """Train the pipeline's net on labeled clouds. Augmentation (when
-    configured) is re-rolled per sample per epoch; inference inside
-    evaluate() never augments. Returns (net, per-epoch mean loss)."""
+def check_labeled(dataset: list) -> None:
+    """Rejects an empty dataset, or one holding an unlabeled cloud."""
     if not dataset:
         raise ValueError("empty dataset")
     if any(cloud.label is None for cloud in dataset):
         raise ValueError("dataset cloud missing label")
+
+
+def train(pipeline, dataset: list, cfg: TrainConfig):
+    """Train the pipeline's net on labeled clouds. Augmentation (when
+    configured) is re-rolled per sample per epoch; inference inside
+    evaluate() never augments. Returns (net, per-epoch mean loss)."""
+    check_labeled(dataset)
     net = pipeline.net
     state = init_adam_state(net)
     static_inputs = None
@@ -284,10 +289,7 @@ def predict(net: TinyNet, pipeline, cloud) -> int:
 def evaluate(net: TinyNet, pipeline, dataset: list) -> tuple[float, float]:
     """(instance accuracy, class accuracy) in percent. Class accuracy is
     the unweighted mean of per-class recalls."""
-    if not dataset:
-        raise ValueError("empty dataset")
-    if any(cloud.label is None for cloud in dataset):
-        raise ValueError("dataset cloud missing label")
+    check_labeled(dataset)
     correct = {}
     total = {}
     for cloud in dataset:

@@ -17,10 +17,9 @@ from .cloud import PointCloud
 from .graphdraw import GRID, map_graphdraw
 from .net import TinyNet
 from .project import SIZE, GradPath, MappedImage, basic_project, basic_project_leaky
-from .render import ADAIN_EPS, AdaINParams, ZBufferConfig, adain, positional_embedding, zbuffer
+from .render import AdaINParams, ZBufferConfig, adain, positional_embedding, zbuffer
 
 ZCONFIG = ZBufferConfig()
-ZBUFFER_ADAIN = AdaINParams.identity(3)  # image, row and column channels
 
 
 def _window_sum(x: np.ndarray, factor: int) -> np.ndarray:
@@ -50,28 +49,13 @@ def _avgpool_entry(x: np.ndarray, factor: int) -> np.ndarray:
     return _window_sum(x, factor) / counts[:, :, None]
 
 
-def _condition_depth(v: np.ndarray) -> np.ndarray:
-    """Channel 0 of adain(concat(depth, positional), ZBUFFER_ADAIN), bit for
-    bit. adain reduces a 3-channel image over (H, W) one pixel after the
-    other, so the mean and variance are sequential sums, as cumsum's."""
-    mu = np.cumsum(v)[-1] / v.size
-    d = v - mu
-    var = np.cumsum(d * d)[-1] / v.size
-    p = ZBUFFER_ADAIN
-    y_s = (p.w_scale @ p.control + p.b_scale)[0]
-    y_b = (p.w_bias @ p.control + p.b_bias)[0]
-    return y_s * (d / np.sqrt(var + ADAIN_EPS)) + y_b
-
-
 @functools.cache
 def _zbuffer_positional(h: int, w: int, f: int) -> np.ndarray:
-    """Channels 1-2 of zbuffer's net input: the positional embedding,
-    conditioned and average-pooled. adain treats each channel alone, so
-    they are the same for every depth image; they are built on first use
-    beside a blank depth channel and kept read-only."""
-    x = np.concatenate([np.zeros((h, w, 1)), positional_embedding(h, w)], axis=2)
-    x, _ = adain(x, ZBUFFER_ADAIN)
-    out = _avgpool_entry(x, f)[:, :, 1:].copy()
+    """Channels 1-2 of zbuffer's net input: the positional embedding under
+    identity AdaIN, average-pooled. They are the same for every depth
+    image, so they are built on first use and kept read-only."""
+    x, _ = adain(positional_embedding(h, w), AdaINParams.identity(2))
+    out = _avgpool_entry(x, f)
     out.flags.writeable = False
     return out
 
@@ -123,9 +107,8 @@ class Pipeline:
         f = -(-self.size // 64)
         if MAPPERS[self.name].sparse:
             return _window_sum(x, f)
-        h, w, _ = x.shape
-        depth = _avgpool_entry(_condition_depth(x[:, :, 0])[:, :, None], f)
-        return np.concatenate([depth, _zbuffer_positional(h, w, f)], axis=2)
+        depth = _avgpool_entry(adain(x, AdaINParams.identity(1))[0], f)
+        return np.concatenate([depth, _zbuffer_positional(*x.shape[:2], f)], axis=2)
 
     def net_input(self, cloud: PointCloud) -> np.ndarray:
         return self.net_input_from_image(self.map_image(cloud))

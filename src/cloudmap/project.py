@@ -76,8 +76,6 @@ def basic_project(cloud: PointCloud) -> MappedImage:
     The floor quantization has zero derivative almost everywhere, so the
     result carries no usable input gradient: grad_path is Blocked.
     """
-    if cloud.n < 1:
-        raise ValueError("empty cloud")
     rows, cols = _pixel_coords(cloud.points, SIZE)
     data = np.zeros((SIZE, SIZE, 1), dtype=np.float64)
     data[rows, cols, 0] = 1.0
@@ -114,8 +112,6 @@ def basic_project_leaky(cloud: PointCloud) -> MappedImage:
     records only the surviving links, so it is exactly the image's
     dependency on the cloud.
     """
-    if cloud.n < 1:
-        raise ValueError("empty cloud")
     rows, cols = _pixel_coords(cloud.points, SIZE)
     # the first occurrence of a pixel in reversed order is its last writer
     _, first = np.unique((rows * SIZE + cols)[::-1], return_index=True)

@@ -39,8 +39,6 @@ class ZBufferConfig:
 
 
 def zbuffer(cloud: PointCloud, config: ZBufferConfig = ZBufferConfig()) -> MappedImage:
-    if cloud.n == 0:
-        raise ValueError("empty cloud")
     size = config.size
     rows, cols = _pixel_coords(cloud.points, size)
     depth = 1.0 - cloud.points[:, 2]
@@ -108,17 +106,20 @@ def adain(features: np.ndarray, params: AdaINParams):
     """Normalize each channel over its spatial extent (population std,
     ADAIN_EPS inside the square root), then rescale and shift by the styles
     predicted from the control vector. Channel c of the output has mean
-    bias[c] and std |scale[c]| up to the ADAIN_EPS floor.
-    Returns (output, cache)."""
+    bias[c] and std |scale[c]| up to the ADAIN_EPS floor. Mean and variance
+    add the pixels in order, so a channel normalized alone is bit for bit
+    that channel normalized in a stack. Returns (output, cache)."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != params.w_scale.shape[0]:
         raise ValueError(f"feature channels do not match params: {x.shape}")
     y_s = params.w_scale @ params.control + params.b_scale
     y_b = params.w_bias @ params.control + params.b_bias
-    mu = x.mean(axis=(0, 1))
-    var = x.var(axis=(0, 1))
+    n = x.shape[0] * x.shape[1]
+    mu = np.cumsum(x.reshape(n, -1), axis=0)[-1] / n
+    d = x - mu
+    var = np.cumsum((d * d).reshape(n, -1), axis=0)[-1] / n
     sigma = np.sqrt(var + ADAIN_EPS)
-    xhat = (x - mu) / sigma
+    xhat = d / sigma
     out = y_s * xhat + y_b
     cache = (xhat, sigma, y_s, params)
     return out, cache

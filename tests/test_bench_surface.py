@@ -37,9 +37,10 @@ def test_tracer_wraps_every_traced_name_and_restores_it():
     for key in ("pipeline.map_image", "pipeline.net_input_from_image"):
         assert t.calls[key] == len(PIPELINE_NAMES) + 1, key
     assert t.calls["render.zbuffer"] == 2
+    # adain conditions each depth image, then once the positional channels
+    assert t.calls["render.adain"] == 3
     for key in ("project.basic_project", "project.basic_project_leaky",
-                "graphdraw.map_graphdraw",
-                "render.positional_embedding", "render.adain"):
+                "graphdraw.map_graphdraw", "render.positional_embedding"):
         assert t.calls[key] == 1, key
 
 

@@ -466,6 +466,38 @@ def test_train_on_a_dataset_of_another_class_list_fails(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "ckpt_basic.bin"))
 
 
+@pytest.mark.parametrize("header, row, line", [
+    ("file,label,kind", "sphere_0000.xyz", 3),
+    ("file,label,kind", "sphere_0000.xyz,0", 3),
+    ("file,label,kind", "sphere_0000.xyz,zero,sphere", 3),
+    ("file,label", "sphere_0000.xyz,0", 2),  # no row has a kind
+])
+def test_eval_on_a_malformed_labels_row_names_the_file_and_row(tmp_path, capsys, header,
+                                                               row, line):
+    path = write_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["dataset", "--config", path, "--out", out]) == 0
+    labels = os.path.join(out, "dataset", "test", "labels.csv")
+    open(labels, "w").write(f"{header}\nsphere_0001.xyz,0,sphere\n{row}\n")
+    capsys.readouterr()
+    assert main(["eval", "--config", path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {labels}:{line}: expected a file, an integer label and a kind")
+
+
+def test_every_command_on_an_empty_test_split_fails(tmp_path, capsys):
+    # single-mesh classes stay in train, so the test split lists no cloud
+    path = write_off_dir(tmp_path, {"a": 1, "b": 1})
+    out = str(tmp_path / "out")
+    assert main(["dataset", "--config", path, "--out", out]) == 0
+    labels = os.path.join(out, "dataset", "test", "labels.csv")
+    for command in ("eval", "attack", "export-images"):
+        capsys.readouterr()
+        assert main([command, "--config", path, "--out", out]) == 1, command
+        assert capsys.readouterr().err == f"error: {labels} lists no clouds\n", command
+    assert not os.path.exists(os.path.join(out, "images"))
+
+
 def test_off_dir_without_path_is_a_config_error(tmp_path, capsys):
     path = write_config(tmp_path, dataset={"type": "off_dir"})
     out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,25 @@ def test_read_xyz_rejects_non_finite(tmp_path, bad):
     path.write_text(f"0 0 0\n{bad} 0 0\n0 1 0\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: non-finite"):
         read_xyz(path)
+
+
+def test_read_xyz_rejects_an_empty_file_without_a_warning(tmp_path):
+    path = tmp_path / "c.xyz"
+    path.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no points$"):
+            read_xyz(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_cloud_rejects_non_finite_coordinates(bad):
+    pts = np.zeros((4, 3))
+    pts[2, 1] = bad
+    with pytest.raises(ValueError, match="^points must be finite$"):
+        PointCloud(pts)
+    with pytest.raises(ValueError, match="^points must be finite$"):
+        synth_shape("cube", 64, seed=0).with_points(pts)
 
 
 def test_mesh_rejects_bad_face_index():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cloudmap.cloud import PointCloud, synth_shape
+from cloudmap.cloud import SYNTH_KINDS, PointCloud, synth_shape
 from cloudmap.project import GradPath
 from cloudmap.render import (AdaINParams, ZBufferConfig, adain, adain_backward,
                              positional_embedding, zbuffer)
@@ -181,6 +181,17 @@ def test_adain_output_statistics():
     y_b = params.w_bias @ params.control + params.b_bias
     assert np.allclose(out.mean((0, 1)), y_b, atol=1e-4)
     assert np.allclose(out.std((0, 1)), np.abs(y_s), atol=1e-4)
+
+
+def test_adain_of_one_channel_is_that_channel_of_a_stack():
+    # zbuffer's depth is normalized alone; in a stack with the positional
+    # channels it must come out the same, bit for bit
+    for seed in range(10):
+        depth = zbuffer(synth_shape(SYNTH_KINDS[seed % 5], 256, seed=seed)).data
+        stack = np.concatenate([depth, positional_embedding(*depth.shape[:2])], axis=2)
+        alone, _ = adain(depth, identity_params(1))
+        stacked, _ = adain(stack, identity_params(3))
+        assert np.array_equal(alone[:, :, 0], stacked[:, :, 0]), seed
 
 
 def test_adain_channel_mismatch_rejected():
