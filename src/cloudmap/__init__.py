@@ -7,9 +7,8 @@ from .cloud import (Mesh, OffParseError, PointCloud, SYNTH_KINDS, augment,
                     load_off, normalize_unit, read_xyz, sample_surface,
                     synth_shape, write_xyz)
 from .graphdraw import (ClusterHierarchy, Graph, GridEmbedding,
-                        balanced_kmeans, build_hierarchy, delaunay3,
-                        delaunay_oracle, draw_image, grid_embed,
-                        map_graphdraw)
+                        balanced_kmeans, delaunay3, delaunay_oracle,
+                        draw_image, grid_embed, map_graphdraw)
 from .imagefile import write_pgm, write_ppm
 from .net import (TinyNet, TrainConfig, adam_step, evaluate, forward,
                   load_checkpoint, loss_and_grad, lr_at, predict,

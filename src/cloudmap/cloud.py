@@ -321,7 +321,10 @@ def write_xyz(cloud: PointCloud, path) -> None:
 def read_xyz(path, label: int | None = None) -> PointCloud:
     with warnings.catch_warnings():  # an empty file is rejected below, naming it
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        pts = np.loadtxt(path, dtype=np.float64, ndmin=2)
+        try:
+            pts = np.loadtxt(path, dtype=np.float64, ndmin=2)
+        except ValueError as exc:  # a ragged row or a non-numeric field
+            raise ValueError(f"{path}: {exc}") from exc
     if pts.size == 0:
         raise ValueError(f"{path}: no points")
     if pts.shape[1] != 3:

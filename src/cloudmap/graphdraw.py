@@ -58,8 +58,6 @@ class ClusterHierarchy:
     centers: np.ndarray        # (K, 3)
     members: list              # K int arrays partitioning range(N)
     k: int
-    top_edges: Graph | None = None    # Delaunay over centers
-    within_edges: list | None = None  # K Graphs, one per cluster's members
 
 
 @dataclass
@@ -356,14 +354,13 @@ def _principal_frame(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
 def delaunay3_many(point_sets: list) -> list:
     """delaunay3 of every (M, 3) point set. The triangulations of each
     dimension (3-D sets and coplanar sets in their best-fit planes) run in
-    one lockstep Bowyer-Watson pass."""
+    one lockstep Bowyer-Watson pass. A set of 0 or 1 points gets a graph
+    without edges."""
     prepared = []  # (m, rep, inverse, edges over unique points or None)
     tasks = {2: [], 3: []}  # dimension -> [(set index, coordinates)]
     for k, points in enumerate(point_sets):
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         m = len(pts)
-        if m < 2:
-            raise ValueError("need at least 2 points")
         # rep holds each unique point's first occurrence
         uniq, rep, inverse = np.unique(pts, axis=0, return_index=True, return_inverse=True)
         inverse = inverse.reshape(-1)
@@ -404,6 +401,8 @@ def delaunay3(points: np.ndarray) -> Graph:
     chain. Exact duplicate points are collapsed onto one representative each
     and reattached to it by an edge afterwards.
     """
+    if len(np.asarray(points).reshape(-1, 3)) < 2:
+        raise ValueError("need at least 2 points")
     return delaunay3_many([points])[0]
 
 
@@ -442,18 +441,17 @@ def _snap_targets(positions: np.ndarray, gs: int) -> tuple[np.ndarray, np.ndarra
     """Grid targets (M, 2) of an (M, 3) vertex set and the order it snaps
     in: the two principal components, sign-fixed and stretched over the
     grid (PC1 across columns), visited by descending distance from the
-    centroid."""
+    centroid. A set of 0 or 1 vertices targets the centre of the grid."""
     m = len(positions)
+    if m <= 1:
+        return np.full((m, 2), (gs - 1) / 2.0), np.arange(m)
     ctr, vt, _ = _principal_frame(positions)
-    if m == 1:
-        proj = np.zeros((1, 2))
-    else:
-        axes = vt[:2]
-        for i in range(2):  # fix the sign ambiguity of each axis
-            j = int(np.argmax(np.abs(axes[i])))
-            if axes[i, j] < 0:
-                axes[i] = -axes[i]
-        proj = ctr @ axes.T
+    axes = vt[:2]
+    for i in range(2):  # fix the sign ambiguity of each axis
+        j = int(np.argmax(np.abs(axes[i])))
+        if axes[i, j] < 0:
+            axes[i] = -axes[i]
+    proj = ctr @ axes.T
 
     targets = np.empty((m, 2))
     for ax, out in ((0, 1), (1, 0)):  # PC1 spreads across columns
@@ -638,20 +636,7 @@ def grid_embed(graph: Graph, positions: np.ndarray, grid_size: int = GRID,
 
 
 # ---------------------------------------------------------------------------
-# hierarchy assembly and drawing
-
-def build_hierarchy(cloud: PointCloud, seed: int = 0) -> ClusterHierarchy:
-    """Cluster the cloud and attach both Delaunay levels, all triangulated
-    in one delaunay3_many call."""
-    h = balanced_kmeans(cloud, seed=seed)
-    graphs = iter(delaunay3_many(
-        [h.centers] + [cloud.points[mem] for mem in h.members if len(mem) >= 2]))
-    h.top_edges = next(graphs)
-    h.within_edges = [next(graphs) if len(mem) >= 2
-                      else Graph(len(mem), np.empty((0, 2), dtype=np.int64))
-                      for mem in h.members]
-    return h
-
+# drawing
 
 def _check_cells(cells: np.ndarray, gs: int, what: str) -> None:
     """Raise ValueError unless the (M, 2) cells lie inside a gs x gs grid
@@ -685,16 +670,11 @@ def draw_image(cloud: PointCloud, hierarchy: ClusterHierarchy,
 
 
 def map_graphdraw(cloud: PointCloud, seed: int = 0) -> MappedImage:
-    """Full pipeline: cluster, triangulate both levels, embed every graph
-    in one grid_embed_many call, draw."""
+    """Full pipeline: cluster, then triangulate and embed the centres and
+    every cluster, empty and single-point ones included, in one
+    delaunay3_many and one grid_embed_many call, and draw."""
     check_cloud_size(cloud.n)
-    h = build_hierarchy(cloud, seed=seed)
-    filled = [i for i, mem in enumerate(h.members) if len(mem)]
-    embeds = iter(grid_embed_many(
-        [h.top_edges] + [h.within_edges[i] for i in filled],
-        [h.centers] + [cloud.points[h.members[i]] for i in filled]))
-    top_embed = next(embeds)
-    within_embeds = [next(embeds) if len(mem)
-                     else GridEmbedding(GRID, np.empty((0, 2), dtype=np.int64))
-                     for mem in h.members]
+    h = balanced_kmeans(cloud, seed=seed)
+    point_sets = [h.centers] + [cloud.points[mem] for mem in h.members]
+    top_embed, *within_embeds = grid_embed_many(delaunay3_many(point_sets), point_sets)
     return draw_image(cloud, h, top_embed, within_embeds)

@@ -33,8 +33,8 @@ class MappedImage:
     leak_map is an (L, 4) int array of (row, col, point_index, channel) links,
     present exactly when grad_path is COORDINATE_LEAK; channel k of a linked
     pixel holds (coordinate_k + 1) / 2 of the linked point. source_key
-    fingerprints the cloud the image was mapped from so a stale leak_map can
-    be detected.
+    fingerprints the cloud a leak_map links to, so a stale one can be
+    detected; images without a leak_map leave it None.
     """
     data: np.ndarray
     grad_path: GradPath
@@ -79,7 +79,7 @@ def basic_project(cloud: PointCloud) -> MappedImage:
     rows, cols = _pixel_coords(cloud.points, SIZE)
     data = np.zeros((SIZE, SIZE, 1), dtype=np.float64)
     data[rows, cols, 0] = 1.0
-    return MappedImage(data, GradPath.BLOCKED, source_key=cloud_key(cloud))
+    return MappedImage(data, GradPath.BLOCKED)
 
 
 def encode(t: np.ndarray) -> np.ndarray:

@@ -385,6 +385,21 @@ def test_eval_on_non_finite_test_cloud_fails(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {xyz}: non-finite coordinate\n"
 
 
+def test_eval_on_a_malformed_test_cloud_names_the_file(tmp_path, capsys):
+    path = write_config(tmp_path, train={"epochs": 1})
+    out = str(tmp_path / "out")
+    assert main(["dataset", "--config", path, "--out", out]) == 0
+    assert main(["train", "--config", path, "--out", out]) == 0
+    xyz = os.path.join(out, "dataset", "test", "cube_0001.xyz")
+    good = open(xyz).read()
+    for bad_row in ("1 1\n", "1 1 x\n"):
+        open(xyz, "w").write(good + bad_row)
+        capsys.readouterr()
+        assert main(["eval", "--config", path, "--out", out]) == 1, bad_row
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {xyz}: ") and err.count("\n") == 1, err
+
+
 def test_train_without_dataset_fails(tmp_path, capsys):
     path = write_config(tmp_path)
     rc = main(["train", "--config", path, "--out", str(tmp_path / "empty")])

@@ -290,6 +290,16 @@ def test_read_xyz_rejects_an_empty_file_without_a_warning(tmp_path):
             read_xyz(path)
 
 
+@pytest.mark.parametrize("text", ["0 0 0\n1 1\n", "0 0 0\n1 1 x\n"])
+def test_read_xyz_names_the_file_in_parse_errors(tmp_path, text):
+    # a ragged row and a non-numeric field: numpy's message, after the file
+    path = tmp_path / "c.xyz"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: ") as info:
+        read_xyz(path)
+    assert str(info.value) == f"{path}: {info.value.__cause__}"
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_point_cloud_rejects_non_finite_coordinates(bad):
     pts = np.zeros((4, 3))

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cloudmap import graphdraw
-from cloudmap.cloud import SYNTH_KINDS, PointCloud, synth_shape
-from cloudmap.graphdraw import (ClusterHierarchy, Graph, GridEmbedding,
-                                balanced_kmeans, build_hierarchy,
+from cloudmap.cloud import SYNTH_KINDS, PointCloud, augment, synth_shape
+from cloudmap.graphdraw import (CLUSTERS, ClusterHierarchy, Graph,
+                                GridEmbedding, balanced_kmeans,
                                 check_cloud_size, delaunay3, delaunay3_many,
                                 delaunay_oracle, draw_image, grid_embed,
                                 grid_embed_many, map_graphdraw)
 from cloudmap.project import GradPath
 
 from bowyer_watson_oracle import bowyer_watson_oracle, delaunay3_oracle
+from graphdraw_map_oracle import map_graphdraw_oracle
 from grid_embed_oracle import grid_embed_oracle
 from kmeans_oracle import kmeans_oracle
 
@@ -268,10 +269,10 @@ def test_delaunay_cospherical_survives():
 
 
 def map_point_sets(cloud, seed):
-    """The point sets build_hierarchy triangulates: the cluster centres,
-    then every cluster of at least 2 points."""
+    """The point sets map_graphdraw triangulates and embeds: the cluster
+    centres, then every cluster, empty and single-point ones included."""
     h = balanced_kmeans(cloud, seed=seed)
-    return [h.centers] + [cloud.points[mem] for mem in h.members if len(mem) >= 2]
+    return [h.centers] + [cloud.points[mem] for mem in h.members]
 
 
 def retry_sets():
@@ -311,12 +312,12 @@ def test_delaunay_matches_frozen_copy_on_map_sets(n, seeds):
     for ci, kind in enumerate(SYNTH_KINDS):
         for s in seeds:
             cloud = synth_shape(kind, n, seed=[s, 1, ci, 0])
-            h = build_hierarchy(cloud, seed=s)
             sets = map_point_sets(cloud, s)
-            got = [h.top_edges] + [g for g in h.within_edges if g.n_vertices >= 2]
-            assert len(got) == len(sets)
-            for i, (pts, g) in enumerate(zip(sets, got)):
-                assert np.array_equal(g.edges, delaunay3_oracle(pts).edges), (kind, n, s, i)
+            for i, (pts, g) in enumerate(zip(sets, delaunay3_many(sets))):
+                if len(pts) < 2:
+                    assert g.n_vertices == len(pts) and len(g.edges) == 0, (kind, n, s, i)
+                else:
+                    assert np.array_equal(g.edges, delaunay3_oracle(pts).edges), (kind, n, s, i)
 
 
 def test_delaunay_matches_frozen_copy_on_degenerate_sets():
@@ -377,11 +378,11 @@ def test_failed_small_set_falls_back_to_oracle(monkeypatch):
 def test_sliver_cluster_maps_through_oracle(kind, n, seed, cluster):
     # the frozen copy finds no interior simplex for this cluster on any attempt
     cloud = synth_shape(kind, n, seed=[seed, 1, SYNTH_KINDS.index(kind), 0])
-    h = build_hierarchy(cloud, seed=seed)
-    pts = cloud.points[h.members[cluster]]
+    sets = map_point_sets(cloud, seed)
+    pts = sets[1 + cluster]
     with pytest.raises(RuntimeError, match="after jitter retries"):
         delaunay3_oracle(pts)
-    assert np.array_equal(h.within_edges[cluster].edges, delaunay_oracle(pts).edges)
+    assert np.array_equal(delaunay3_many(sets)[1 + cluster].edges, delaunay_oracle(pts).edges)
     img = map_graphdraw(cloud, seed=seed)
     assert int((img.data.sum(2) > 0).sum()) == n
 
@@ -505,11 +506,12 @@ def oracle_cases():
     for n in (256, 1024):
         for ci, kind in enumerate(SYNTH_KINDS):
             c = synth_shape(kind, n, seed=[61, n, ci])
-            h = build_hierarchy(c, seed=ci)
-            cases.append((f"{kind}{n} top", h.top_edges, h.centers, 16))
-            cases += [(f"{kind}{n} cluster {i}", g, c.points[mem], 16)
-                      for i, (g, mem) in enumerate(zip(h.within_edges, h.members))
-                      if len(mem)]
+            sets = map_point_sets(c, ci)
+            graphs = delaunay3_many(sets)
+            cases.append((f"{kind}{n} top", graphs[0], sets[0], 16))
+            cases += [(f"{kind}{n} cluster {i}", g, pts, 16)
+                      for i, (g, pts) in enumerate(zip(graphs[1:], sets[1:]))
+                      if len(pts)]
     rng = np.random.default_rng(62)
     empty = np.empty((0, 2), dtype=np.int64)
     cases.append(("m=1", Graph(1, empty), rng.uniform(-1, 1, (1, 3)), 16))
@@ -594,16 +596,74 @@ def test_grid_embed_many_checks_every_graph_first(monkeypatch):
     assert grid_embed_many([], [], grid_size=4) == []
 
 
+def frozen_map_cloud(kind, n, seed, aug_seed):
+    """(cloud, map seed): a synthetic cloud, augmented unless aug_seed is
+    None."""
+    cloud = synth_shape(kind, n, seed=[seed, 1, SYNTH_KINDS.index(kind), 0])
+    return (cloud if aug_seed is None else augment(cloud, seed=aug_seed)), seed
+
+
+# clouds whose clusters include empty and single-point ones (augmentation
+# seed 1 drops many points onto one), and a raw cloud
+FROZEN_MAP_EXAMPLES = [("cone", 64, 0, 1), ("torus", 64, 1, 1), ("sphere", 64, 3, None)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(SYNTH_KINDS), st.sampled_from((64, 100, 128)),
+       st.integers(0, 2**16), st.none() | st.integers(0, 2**16))
+@example(*FROZEN_MAP_EXAMPLES[0])
+@example(*FROZEN_MAP_EXAMPLES[1])
+@example(*FROZEN_MAP_EXAMPLES[2])
+def test_map_graphdraw_matches_frozen_assembly(kind, n, seed, aug_seed):
+    cloud, seed = frozen_map_cloud(kind, n, seed, aug_seed)
+    got = map_graphdraw(cloud, seed=seed)
+    want = map_graphdraw_oracle(cloud, seed=seed)
+    assert np.array_equal(got.data, want.data)
+    assert np.array_equal(got.leak_map, want.leak_map)
+
+
+def test_frozen_assembly_examples_hold_empty_and_single_point_clusters():
+    sizes = []
+    for case in FROZEN_MAP_EXAMPLES:
+        cloud, seed = frozen_map_cloud(*case)
+        sizes += [len(mem) for mem in balanced_kmeans(cloud, seed=seed).members]
+    assert 0 in sizes and 1 in sizes
+
+
 def test_map_graphdraw_embeds_in_one_call(monkeypatch):
-    real = graphdraw.grid_embed_many
     calls = []
-    monkeypatch.setattr(graphdraw, "grid_embed_many",
-                        lambda graphs, *a, **kw: calls.append(len(graphs)) or real(graphs, *a, **kw))
-    monkeypatch.setattr(graphdraw, "grid_embed", None)  # the map must not embed one by one
-    cloud = synth_shape("cone", 256, seed=[64, 1])
-    h = build_hierarchy(cloud, seed=3)
-    map_graphdraw(cloud, seed=3)
-    assert calls == [1 + sum(len(mem) > 0 for mem in h.members)]
+    for name in ("delaunay3_many", "grid_embed_many"):
+        real = getattr(graphdraw, name)
+        monkeypatch.setattr(graphdraw, name, lambda sets, *a, name=name, real=real, **kw:
+                            calls.append((name, len(sets))) or real(sets, *a, **kw))
+    # the map must not triangulate or embed one set at a time
+    monkeypatch.setattr(graphdraw, "delaunay3", None)
+    monkeypatch.setattr(graphdraw, "grid_embed", None)
+    cloud, seed = frozen_map_cloud(*FROZEN_MAP_EXAMPLES[0])
+    sizes = [len(mem) for mem in balanced_kmeans(cloud, seed=seed).members]
+    assert 0 in sizes and 1 in sizes
+    map_graphdraw(cloud, seed=seed)
+    assert calls == [("delaunay3_many", 1 + CLUSTERS), ("grid_embed_many", 1 + CLUSTERS)]
+
+
+def test_lockstep_functions_take_empty_and_single_point_sets():
+    rng = np.random.default_rng(76)
+    empty, single = np.empty((0, 3)), rng.uniform(-1, 1, (1, 3))
+    sets = [empty, rng.uniform(-1, 1, (2, 3)), single, rng.uniform(-1, 1, (5, 3)),
+            rng.uniform(-1, 1, (30, 3)), empty, rng.uniform(-1, 1, (12, 3)), single]
+    graphs = delaunay3_many(sets)
+    embeds = grid_embed_many(graphs, sets)
+    for i, (pts, g, emb) in enumerate(zip(sets, graphs, embeds)):
+        if len(pts) < 2:
+            assert g.n_vertices == len(pts) and g.edges.shape == (0, 2), i
+            assert emb.cells.tolist() == [[7, 7]] * len(pts), i  # the cell nearest the centre
+            assert emb.energy_trace == [0], i
+        else:
+            alone = delaunay3(pts)
+            assert np.array_equal(g.edges, alone.edges), i
+            want = grid_embed(alone, pts)
+            assert np.array_equal(emb.cells, want.cells), i
+            assert emb.energy_trace == want.energy_trace, i
 
 
 # ---------------------------------------------------------------------------
@@ -736,15 +796,15 @@ def test_map_graphdraw_fails_before_clustering(monkeypatch):
     assert calls == []
 
 
-def test_build_hierarchy_attaches_graphs():
+def test_delaunay3_many_graphs_every_map_set():
     cloud = synth_shape("cone", 128, seed=7)
-    h = build_hierarchy(cloud, seed=0)
-    assert h.top_edges.n_vertices == 32
-    assert len(h.within_edges) == 32
-    for mem, g in zip(h.members, h.within_edges):
-        assert g.n_vertices == len(mem)
-        if len(mem) >= 2:
-            assert len(g.edges) >= 1
+    sets = map_point_sets(cloud, 0)
+    graphs = delaunay3_many(sets)
+    assert len(graphs) == 1 + CLUSTERS
+    assert graphs[0].n_vertices == CLUSTERS
+    for pts, g in zip(sets, graphs):
+        assert g.n_vertices == len(pts)
+        assert (len(g.edges) >= 1) == (len(pts) >= 2)
 
 
 def test_map_graphdraw_value_multiset_stable_under_relabel():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cloudmap.cloud import SYNTH_KINDS, PointCloud, augment, synth_shape
+from cloudmap.pipeline import PIPELINE_NAMES, make_pipeline
 from cloudmap.project import (SIZE, GradPath, MappedImage, basic_project,
                               basic_project_leaky, cloud_key, remap_frozen)
 from cloudmap.render import zbuffer
@@ -163,6 +164,16 @@ def test_cloud_key_tracks_content():
     b = a.with_points(a.points + 0.001)
     assert cloud_key(a) != cloud_key(b)
     assert cloud_key(a) == cloud_key(PointCloud(a.points.copy()))
+
+
+def test_only_leaking_images_fingerprint_their_cloud():
+    # the fingerprint guards a leak_map; blocked images have none to guard
+    cloud = synth_shape("cone", 128, 9)
+    want = {"basic": None, "zbuffer": None,
+            "leaky": cloud_key(cloud), "graphdraw": cloud_key(cloud)}
+    assert set(want) == set(PIPELINE_NAMES)
+    for name, key in want.items():
+        assert make_pipeline(name, 3).map_image(cloud).source_key == key, name
 
 
 def test_remap_frozen_tracks_coordinates():
