@@ -14,7 +14,7 @@ from .net import (TinyNet, TrainConfig, adam_step, evaluate, forward,
                   load_checkpoint, loss_and_grad, lr_at, predict,
                   save_checkpoint, train)
 from .pipeline import PIPELINE_NAMES, Pipeline, make_pipeline
-from .project import (GradPath, MappedImage, basic_project,
+from .project import (GradPath, MappedImage, Scatter, basic_project,
                       basic_project_leaky, cloud_key, remap_frozen)
 from .render import (AdaINParams, DEFAULT_SCENE_CONTROL, ZBufferConfig,
                      adain, adain_backward, positional_embedding, zbuffer)

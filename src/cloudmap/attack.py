@@ -2,7 +2,7 @@
 gradient topology: quantized mappers return a Blocked marker and the
 attack degenerates to a no-op, while mappers that write coordinates into
 intensities expose a differentiable route from the loss back to every
-point, chained through the recorded leak_map links.
+point, chained through the scatter record of each mapped image.
 """
 
 import csv
@@ -36,21 +36,23 @@ def input_point_gradient(pipeline: Pipeline, cloud: PointCloud, label: int,
     or BLOCKED_GRADIENT when the mapper quantizes coordinates away.
 
     Pixel and cell assignments are held fixed: only the intensity values
-    are differentiated. Each link contributes the encode's slope times the
-    gradient of the net-input cell its pixel is sum-pooled into."""
+    are differentiated. Each point of the image's scatter record gets, on
+    every channel, the encode's slope times the gradient of the net-input
+    cell its pixel is sum-pooled into."""
     if image is None:
         image = pipeline.map_image(cloud)
     if image.grad_path is GradPath.BLOCKED:
         return BLOCKED_GRADIENT
     if image.source_key != cloud_key(cloud):
         raise ValueError("stale leak_map: cloud changed since it was mapped")
+    if image.scatter is None:
+        raise ValueError("image has no scatter record; map the cloud with the pipeline")
     x = pipeline.net_input_from_image(image)
     _, _, d_input = loss_and_grad(pipeline.net, x, label)
     f = image.height // d_input.shape[0]
-    rows, cols, pts, chans = image.leak_map.T
+    rows, cols, _, pts = image.scatter
     grad = np.zeros_like(cloud.points)
-    np.add.at(grad, (pts, chans), encode_slope(cloud.points[pts, chans])
-              * d_input[rows // f, cols // f, chans])
+    np.add.at(grad, pts, encode_slope(cloud.points[pts]) * d_input[rows // f, cols // f])
     return grad
 
 

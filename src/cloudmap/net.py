@@ -79,15 +79,34 @@ class TinyNet:
 # ---------------------------------------------------------------------------
 # layer forward/backward pairs
 
-def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+def _scratch() -> list:
+    """One buffer dict per conv layer. train keeps one list for its whole
+    call, so every step reuses the same large buffers instead of
+    allocating and freeing them; forward and loss_and_grad take a new one
+    per call."""
+    return [{}, {}, {}]
+
+
+def _buffer(scratch: dict, key: str, shape: tuple) -> np.ndarray:
+    """scratch[key], replaced by a zero array first unless it has shape."""
+    buf = scratch.get(key)
+    if buf is None or buf.shape != shape:
+        buf = scratch[key] = np.zeros(shape)
+    return buf
+
+
+def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, scratch: dict):
     """3x3 same convolution as one matmul. Row p of the im2col matrix
     holds pixel p's zero-padded window in (3, 3, C_in) order, so the copy
-    that builds it moves runs of C_in contiguous values."""
+    that builds it moves runs of C_in contiguous values. The padded input
+    and the im2col matrix are the layer's scratch buffers; only the
+    padding's interior is ever written, so its border stays zero."""
     h, wd, ci = x.shape
-    xp = np.zeros((h + 2, wd + 2, ci))
+    xp = _buffer(scratch, "xp", (h + 2, wd + 2, ci))
     xp[1:-1, 1:-1] = x
-    cols = sliding_window_view(xp, (3, 3), axis=(0, 1)) \
-        .transpose(0, 1, 3, 4, 2).reshape(h * wd, 9 * ci)
+    cols = _buffer(scratch, "cols", (h * wd, 9 * ci))
+    cols.reshape(h, wd, 3, 3, ci)[...] = \
+        sliding_window_view(xp, (3, 3), axis=(0, 1)).transpose(0, 1, 3, 4, 2)
     out = cols @ w.transpose(1, 2, 0, 3).reshape(9 * ci, -1)
     out += b
     return out.reshape(h, wd, -1), (cols, w, x.shape)
@@ -141,8 +160,9 @@ def _pool_relu_back(d_out: np.ndarray, cache) -> np.ndarray:
     return d_x
 
 
-def _forward_cached(net: TinyNet, image, downsample: int):
-    """Logits, and each block's and the head's caches."""
+def _forward_cached(net: TinyNet, image, downsample: int, scratch: list):
+    """Logits, and each block's and the head's caches; conv layer i
+    builds its buffers in scratch[i - 1]."""
     if downsample != 1:
         raise ValueError(f"downsample must be 1, got {downsample}")
     a = np.asarray(image, dtype=np.float64)
@@ -151,7 +171,7 @@ def _forward_cached(net: TinyNet, image, downsample: int):
     p = net.params
     blocks = []
     for i in (1, 2, 3):
-        a, conv = _conv(a, p[f"conv{i}_w"], p[f"conv{i}_b"])
+        a, conv = _conv(a, p[f"conv{i}_w"], p[f"conv{i}_b"], scratch[i - 1])
         a, pool = _pool_relu(a)
         blocks.append((conv, pool))
     feat = a.mean(axis=(0, 1))
@@ -160,23 +180,24 @@ def _forward_cached(net: TinyNet, image, downsample: int):
 
 
 def forward(net: TinyNet, image, downsample: int = 1) -> np.ndarray:
-    return _forward_cached(net, image, downsample)[0]
+    return _forward_cached(net, image, downsample, _scratch())[0]
 
 
 def loss_and_grad(net: TinyNet, image, label: int, downsample: int = 1):
     """Softmax cross-entropy plus gradients for every parameter and for
     the input image."""
-    return _loss_and_grads(net, image, label, downsample, input_grad=True)
+    return _loss_and_grads(net, image, label, downsample, True, _scratch())
 
 
 def _loss_and_grads(net: TinyNet, image, label: int, downsample: int,
-                    input_grad: bool):
+                    input_grad: bool, scratch: list):
     """loss_and_grad; without input_grad, conv1's input gradient is never
-    computed and d_input is None."""
+    computed and d_input is None. The returned gradients are new arrays,
+    never scratch buffers."""
     if not 0 <= label < net.num_classes:
         raise ValueError(f"label {label} out of range")
     p = net.params
-    logits, (blocks, gap_shape, feat) = _forward_cached(net, image, downsample)
+    logits, (blocks, gap_shape, feat) = _forward_cached(net, image, downsample, scratch)
 
     zmax = logits.max()
     lse = zmax + np.log(np.exp(logits - zmax).sum())
@@ -241,6 +262,7 @@ def train(pipeline, dataset: list, cfg: TrainConfig):
     check_labeled(dataset)
     net = pipeline.net
     state = init_adam_state(net)
+    scratch = _scratch()
     static_inputs = None
     if not cfg.augment_cfg:
         static_inputs = [pipeline.net_input(c) for c in dataset]
@@ -264,7 +286,7 @@ def train(pipeline, dataset: list, cfg: TrainConfig):
                         [cfg.seed, 77, epoch, int(si)]).integers(2 ** 31))
                     x = pipeline.net_input(augment(cloud, aug_seed))
                 loss, grads, _ = _loss_and_grads(net, x, cloud.label, 1,
-                                                 input_grad=False)
+                                                 False, scratch)
                 if not np.isfinite(loss):
                     raise RuntimeError(f"loss diverged at epoch {epoch}")
                 losses.append(loss)

@@ -7,8 +7,8 @@ module keys off it.
 """
 
 import hashlib
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +26,16 @@ def cloud_key(cloud: PointCloud) -> str:
     return hashlib.sha1(np.ascontiguousarray(cloud.points).tobytes()).hexdigest()
 
 
-@dataclass
+class Scatter(NamedTuple):
+    """The lit pixels of a sparse image: pixel j is (rows[j], cols[j]) and
+    holds the channel values values[j]; pts[j] is the point it encodes, or
+    pts is None for a mapper that links no point. Pixels are distinct."""
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray  # (L, C)
+    pts: np.ndarray | None
+
+
 class MappedImage:
     """H x W x C intensity grid in [0, 1].
 
@@ -35,30 +44,79 @@ class MappedImage:
     pixel holds (coordinate_k + 1) / 2 of the linked point. source_key
     fingerprints the cloud a leak_map links to, so a stale one can be
     detected; images without a leak_map leave it None.
-    """
-    data: np.ndarray
-    grad_path: GradPath
-    leak_map: np.ndarray | None = None
-    source_key: str | None = None
 
-    def __post_init__(self):
-        if self.data.ndim != 3:
+    The constructor takes a dense image. Sparse mappers build theirs with
+    from_scatter, which keeps only the scatter record; data and leak_map
+    are then built from the record on first read, and writing to them
+    leaves the record as it was. scatter is None for a dense-built image.
+    """
+
+    def __init__(self, data: np.ndarray, grad_path: GradPath,
+                 leak_map: np.ndarray | None = None, source_key: str | None = None):
+        if data.ndim != 3:
             raise ValueError("data must be (H, W, C)")
-        has_leak = self.leak_map is not None and len(self.leak_map) > 0
-        if has_leak != (self.grad_path is GradPath.COORDINATE_LEAK):
+        self._set(data.shape, grad_path, source_key,
+                  leak_map is not None and len(leak_map) > 0)
+        self.scatter = None
+        self._data, self._leak_map = data, leak_map
+
+    @classmethod
+    def from_scatter(cls, shape: tuple, grad_path: GradPath, scatter: Scatter,
+                     source_key: str | None) -> "MappedImage":
+        """The (H, W, C) image lit only at scatter's pixels, linked on
+        every channel to scatter.pts when those are given."""
+        image = object.__new__(cls)
+        image._set(shape, grad_path, source_key,
+                   scatter.pts is not None and len(scatter.pts) > 0)
+        image.scatter = scatter
+        image._data = image._leak_map = None
+        return image
+
+    def _set(self, shape, grad_path, source_key, has_leak):
+        if has_leak != (grad_path is GradPath.COORDINATE_LEAK):
             raise ValueError("leak_map must be non-empty iff grad_path is COORDINATE_LEAK")
+        self.shape, self.grad_path, self.source_key = shape, grad_path, source_key
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            s = self.scatter
+            self._data = np.zeros(self.shape)
+            self._data[s.rows, s.cols] = s.values
+        return self._data
+
+    @property
+    def leak_map(self) -> np.ndarray | None:
+        s = self.scatter
+        if self._leak_map is None and s is not None and s.pts is not None:
+            c = self.channels
+            self._leak_map = np.column_stack([
+                np.repeat(s.rows, c), np.repeat(s.cols, c), np.repeat(s.pts, c),
+                np.tile(np.arange(c), len(s.pts))])
+        return self._leak_map
+
+    def lit_pixels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) of the lit pixels in row-major order: the
+        scatter record's pixels, or a dense image's pixels with a nonzero
+        channel."""
+        if self.scatter is None:
+            rows, cols = np.nonzero(self._data.any(axis=2))
+            return rows, cols, self._data[rows, cols]
+        rows, cols, values, _ = self.scatter
+        order = np.argsort(rows * self.width + cols, kind="stable")
+        return rows[order], cols[order], values[order]
 
     @property
     def height(self) -> int:
-        return self.data.shape[0]
+        return self.shape[0]
 
     @property
     def width(self) -> int:
-        return self.data.shape[1]
+        return self.shape[1]
 
     @property
     def channels(self) -> int:
-        return self.data.shape[2]
+        return self.shape[2]
 
 
 def _pixel_coords(points: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -77,9 +135,10 @@ def basic_project(cloud: PointCloud) -> MappedImage:
     result carries no usable input gradient: grad_path is Blocked.
     """
     rows, cols = _pixel_coords(cloud.points, SIZE)
-    data = np.zeros((SIZE, SIZE, 1), dtype=np.float64)
-    data[rows, cols, 0] = 1.0
-    return MappedImage(data, GradPath.BLOCKED)
+    rows, cols = np.divmod(np.unique(rows * SIZE + cols), SIZE)
+    return MappedImage.from_scatter((SIZE, SIZE, 1), GradPath.BLOCKED,
+                                    Scatter(rows, cols, np.ones((len(rows), 1)), None),
+                                    None)
 
 
 def encode(t: np.ndarray) -> np.ndarray:
@@ -96,12 +155,9 @@ def leaky_image(cloud: PointCloud, size: int, rows: np.ndarray, cols: np.ndarray
                 pts: np.ndarray) -> MappedImage:
     """size x size x 3 image that lights pixel (rows[j], cols[j]) with the
     encoded point pts[j], linked on all channels; pixels must be distinct."""
-    data = np.zeros((size, size, 3), dtype=np.float64)
-    data[rows, cols] = encode(cloud.points[pts])
-    links = np.column_stack([np.repeat(rows, 3), np.repeat(cols, 3),
-                             np.repeat(pts, 3), np.tile(np.arange(3), len(pts))])
-    return MappedImage(data, GradPath.COORDINATE_LEAK, leak_map=links,
-                       source_key=cloud_key(cloud))
+    return MappedImage.from_scatter((size, size, 3), GradPath.COORDINATE_LEAK,
+                                    Scatter(rows, cols, encode(cloud.points[pts]), pts),
+                                    cloud_key(cloud))
 
 
 def basic_project_leaky(cloud: PointCloud) -> MappedImage:

@@ -6,9 +6,9 @@ import pytest
 from cloudmap.attack import (BLOCKED_GRADIENT, AttackReport, asr,
                              attack_suite, fgsm, input_point_gradient)
 from cloudmap.cloud import PointCloud, synth_shape
-from cloudmap.net import loss_and_grad, predict
+from cloudmap.net import evaluate, loss_and_grad, predict
 from cloudmap.pipeline import Pipeline, make_pipeline
-from cloudmap.project import remap_frozen
+from cloudmap.project import MappedImage, remap_frozen
 
 
 def labeled(points, label=0):
@@ -100,6 +100,29 @@ def test_leak_gradient_is_zero_where_encode_clips():
     assert fd == 0.0
     assert grad[0, 2] == 0.0
     assert np.all(grad[0, :2] != 0.0)  # the unclipped coordinates still leak
+
+
+def test_evaluate_and_attack_suite_read_only_the_scatter_record(monkeypatch):
+    def dense(image):
+        raise AssertionError("built a dense image or leak map")
+    monkeypatch.setattr(MappedImage, "data", property(dense))
+    monkeypatch.setattr(MappedImage, "leak_map", property(dense))
+    testset = small_testset(per=2, n=64)
+    for name in ("basic", "leaky"):
+        pipe = make_pipeline(name, 3, seed=0)
+        evaluate(pipe.net, pipe, testset)
+        report = attack_suite(pipe, testset, epsilon=0.05)
+        assert (report.mean_perturbation_l2 > 0.0) == (name == "leaky")
+
+
+def test_leak_gradient_needs_the_scatter_record():
+    pipe = make_pipeline("leaky", 3, seed=0)
+    cloud = labeled(synth_shape("cube", 64, seed=3).points)
+    image = pipe.map_image(cloud)
+    dense = MappedImage(image.data, image.grad_path, leak_map=image.leak_map,
+                        source_key=image.source_key)
+    with pytest.raises(ValueError, match="no scatter record"):
+        input_point_gradient(pipe, cloud, 0, image=dense)
 
 
 def test_stale_leak_map_rejected():

@@ -322,6 +322,38 @@ def test_train_equals_reference_loop_bit_for_bit(name, augmented):
         assert np.array_equal(p, ref.net.params[pname])
 
 
+@pytest.mark.parametrize("size", [1, 2, 57])
+def test_train_reusing_its_buffers_equals_reference_loop(size):
+    # train keeps one set of conv buffers per layer for its whole call; at
+    # 1x1 and 2x2 the inputs of conv2 and conv3 have one shape
+    rng = np.random.default_rng(size)
+    dataset = [ToySample(rng.normal(size=(size, size, 3)), label % 3)
+               for label in range(7)]
+    cfg = TrainConfig(epochs=2, lr=0.01, batch_size=3, seed=size)
+    nets = [TinyNet(3, 3, seed=8), TinyNet(3, 3, seed=8)]
+    for net in nets:
+        for i in (1, 2, 3):  # nonzero biases, so relu masks differ per pixel
+            net.params[f"conv{i}_b"] = np.random.default_rng(i).normal(0.0, 0.1, 16)
+    pipe, ref = ToyPipeline(nets[0]), ToyPipeline(nets[1])
+    _, history = train(pipe, dataset, cfg)
+    assert history == reference_train(ref, dataset, cfg)
+    for pname, p in pipe.net.params.items():
+        assert np.array_equal(p, ref.net.params[pname])
+
+
+def test_loss_and_grad_results_survive_a_second_call():
+    rng = np.random.default_rng(12)
+    net = TinyNet(3, 4, seed=12)
+    x, other = rng.normal(size=(2, 57, 57, 3))
+    _, grads, d_input = loss_and_grad(net, x, 1)
+    kept = {name: g.copy() for name, g in grads.items()}, d_input.copy()
+    loss_and_grad(net, other, 2)
+    forward(net, other)
+    for name, g in grads.items():
+        assert np.array_equal(g, kept[0][name])
+    assert np.array_equal(d_input, kept[1])
+
+
 # ---------------------------------------------------------------------------
 # adam
 
