@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .net import check_labeled, forward, loss_and_grad, predict
+from .net import _forward_cached, _loss_and_grads, _scratch, check_labeled, loss_and_grad
 from .pipeline import Pipeline
 from .project import GradPath, MappedImage, cloud_key, encode_slope
 
@@ -30,15 +30,37 @@ class _BlockedMarker:
 BLOCKED_GRADIENT = _BlockedMarker()
 
 
+def _check_epsilon(epsilon) -> None:
+    if not (np.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+
+
+def _point_gradient(cloud: PointCloud, image: MappedImage,
+                    d_input: np.ndarray) -> np.ndarray:
+    """Chains the net-input gradient d_input back through image's scatter
+    record: each recorded point gets, on every channel, the encode's slope
+    times the gradient of the cell its pixel is sum-pooled into."""
+    f = image.height // d_input.shape[0]
+    rows, cols, _, pts = image.scatter
+    grad = np.zeros_like(cloud.points)
+    np.add.at(grad, pts, encode_slope(cloud.points[pts]) * d_input[rows // f, cols // f])
+    return grad
+
+
+def _sign_step(cloud: PointCloud, grad: np.ndarray, epsilon: float) -> PointCloud:
+    """x + epsilon * sign(grad); epsilon 0 returns cloud itself."""
+    if epsilon == 0.0:
+        return cloud
+    return cloud.with_points(cloud.points + epsilon * np.sign(grad))
+
+
 def input_point_gradient(pipeline: Pipeline, cloud: PointCloud, label: int,
                          image: MappedImage | None = None):
     """Gradient of the classification loss wrt every point coordinate,
     or BLOCKED_GRADIENT when the mapper quantizes coordinates away.
 
     Pixel and cell assignments are held fixed: only the intensity values
-    are differentiated. Each point of the image's scatter record gets, on
-    every channel, the encode's slope times the gradient of the net-input
-    cell its pixel is sum-pooled into."""
+    are differentiated, through the image's scatter record."""
     if image is None:
         image = pipeline.map_image(cloud)
     if image.grad_path is GradPath.BLOCKED:
@@ -49,11 +71,7 @@ def input_point_gradient(pipeline: Pipeline, cloud: PointCloud, label: int,
         raise ValueError("image has no scatter record; map the cloud with the pipeline")
     x = pipeline.net_input_from_image(image)
     _, _, d_input = loss_and_grad(pipeline.net, x, label)
-    f = image.height // d_input.shape[0]
-    rows, cols, _, pts = image.scatter
-    grad = np.zeros_like(cloud.points)
-    np.add.at(grad, pts, encode_slope(cloud.points[pts]) * d_input[rows // f, cols // f])
-    return grad
+    return _point_gradient(cloud, image, d_input)
 
 
 @dataclass
@@ -67,13 +85,13 @@ def fgsm(pipeline: Pipeline, cloud: PointCloud, label: int,
          epsilon: float = 0.1, image: MappedImage | None = None) -> FGSMResult:
     """x' = x + epsilon * sign(grad), one step. A blocked pipeline returns
     the input unchanged with the blocked flag set. image, if given, is the
-    pipeline's map of cloud and saves mapping it again."""
+    pipeline's map of cloud and saves mapping it again. epsilon must be
+    finite and >= 0."""
+    _check_epsilon(epsilon)
     grad = input_point_gradient(pipeline, cloud, label, image=image)
     if grad is BLOCKED_GRADIENT:
         return FGSMResult(cloud, True, 0.0)
-    if epsilon != 0.0:
-        cloud = cloud.with_points(cloud.points + epsilon * np.sign(grad))
-    return FGSMResult(cloud, False, float(np.linalg.norm(grad)))
+    return FGSMResult(_sign_step(cloud, grad, epsilon), False, float(np.linalg.norm(grad)))
 
 
 def asr(clean_accuracy: float, attacked_accuracy: float) -> float:
@@ -115,23 +133,38 @@ class AttackReport:
 
 def attack_suite(pipeline: Pipeline, testset: list,
                  epsilon: float = 0.1) -> AttackReport:
-    """Clean and attacked accuracy over the same samples. Each clean cloud
-    is mapped once, and that image serves both the clean prediction and
-    the attack gradient. The attacked cloud goes through the full mapping
-    again (same mapper seed), so a blocked pipeline reproduces its clean
-    predictions bit for bit."""
+    """Clean and attacked accuracy over the same samples; epsilon must be
+    finite and >= 0. Each clean cloud is mapped once and goes through one
+    forward pass, which gives its clean prediction and, on a leak
+    pipeline, the backward pass of its fgsm step. A cloud the step leaves
+    unchanged (a blocked pipeline, or epsilon 0) keeps its clean
+    prediction; a changed cloud is mapped and classified again (same
+    mapper seed). All of it runs on conv buffers kept for the whole call,
+    and each outcome equals that of predict, fgsm and predict in turn."""
+    _check_epsilon(epsilon)
     check_labeled(testset)
+    net = pipeline.net
+    scratch = _scratch()
     outcomes = []
     clean_hits = 0
     attacked_hits = 0
     l2s = []
     for i, cloud in enumerate(testset):
         image = pipeline.map_image(cloud)
-        clean_logits = forward(pipeline.net, pipeline.net_input_from_image(image))
-        clean_pred = int(np.argmax(clean_logits))
-        result = fgsm(pipeline, cloud, cloud.label, epsilon=epsilon, image=image)
-        attacked_pred = predict(pipeline.net, pipeline, result.cloud)
-        l2 = float(np.linalg.norm(result.cloud.points - cloud.points))
+        x = pipeline.net_input_from_image(image)
+        if image.grad_path is GradPath.BLOCKED:
+            logits = _forward_cached(net, x, 1, scratch)[0]
+            attacked_cloud = cloud
+        else:
+            _, _, d_input, logits = _loss_and_grads(net, x, cloud.label, 1, True, scratch)
+            attacked_cloud = _sign_step(cloud, _point_gradient(cloud, image, d_input), epsilon)
+        clean_pred = int(np.argmax(logits))
+        if attacked_cloud is cloud:
+            attacked_pred = clean_pred
+        else:
+            x = pipeline.net_input(attacked_cloud)
+            attacked_pred = int(np.argmax(_forward_cached(net, x, 1, scratch)[0]))
+        l2 = float(np.linalg.norm(attacked_cloud.points - cloud.points))
         clean_hits += clean_pred == cloud.label
         attacked_hits += attacked_pred == cloud.label
         l2s.append(l2)

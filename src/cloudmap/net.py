@@ -80,10 +80,10 @@ class TinyNet:
 # layer forward/backward pairs
 
 def _scratch() -> list:
-    """One buffer dict per conv layer. train keeps one list for its whole
-    call, so every step reuses the same large buffers instead of
-    allocating and freeing them; forward and loss_and_grad take a new one
-    per call."""
+    """One buffer dict per conv layer. train, evaluate and
+    attack.attack_suite each keep one list for their whole call, so every
+    cloud reuses the same large buffers instead of allocating and freeing
+    them; forward and loss_and_grad take a new one per call."""
     return [{}, {}, {}]
 
 
@@ -186,14 +186,14 @@ def forward(net: TinyNet, image, downsample: int = 1) -> np.ndarray:
 def loss_and_grad(net: TinyNet, image, label: int, downsample: int = 1):
     """Softmax cross-entropy plus gradients for every parameter and for
     the input image."""
-    return _loss_and_grads(net, image, label, downsample, True, _scratch())
+    return _loss_and_grads(net, image, label, downsample, True, _scratch())[:3]
 
 
 def _loss_and_grads(net: TinyNet, image, label: int, downsample: int,
                     input_grad: bool, scratch: list):
-    """loss_and_grad; without input_grad, conv1's input gradient is never
-    computed and d_input is None. The returned gradients are new arrays,
-    never scratch buffers."""
+    """loss_and_grad, then the logits of its forward pass; without
+    input_grad, conv1's input gradient is never computed and d_input is
+    None. The returned arrays are new, never scratch buffers."""
     if not 0 <= label < net.num_classes:
         raise ValueError(f"label {label} out of range")
     p = net.params
@@ -214,7 +214,7 @@ def _loss_and_grads(net: TinyNet, image, label: int, downsample: int,
         d_a = _pool_relu_back(d_a, pool)
         d_a, grads[f"conv{i}_w"], grads[f"conv{i}_b"] = _conv_back(
             d_a, conv, input_grad or i > 1)
-    return loss, grads, d_a
+    return loss, grads, d_a, logits
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +285,8 @@ def train(pipeline, dataset: list, cfg: TrainConfig):
                     aug_seed = int(np.random.default_rng(
                         [cfg.seed, 77, epoch, int(si)]).integers(2 ** 31))
                     x = pipeline.net_input(augment(cloud, aug_seed))
-                loss, grads, _ = _loss_and_grads(net, x, cloud.label, 1,
-                                                 False, scratch)
+                loss, grads, _, _ = _loss_and_grads(net, x, cloud.label, 1,
+                                                    False, scratch)
                 if not np.isfinite(loss):
                     raise RuntimeError(f"loss diverged at epoch {epoch}")
                 losses.append(loss)
@@ -310,12 +310,15 @@ def predict(net: TinyNet, pipeline, cloud) -> int:
 
 def evaluate(net: TinyNet, pipeline, dataset: list) -> tuple[float, float]:
     """(instance accuracy, class accuracy) in percent. Class accuracy is
-    the unweighted mean of per-class recalls."""
+    the unweighted mean of per-class recalls. Each cloud is mapped once and
+    classified as predict would, on conv buffers kept for the whole call."""
     check_labeled(dataset)
+    scratch = _scratch()
     correct = {}
     total = {}
     for cloud in dataset:
-        pred = predict(net, pipeline, cloud)
+        logits = _forward_cached(net, pipeline.net_input(cloud), 1, scratch)[0]
+        pred = int(np.argmax(logits))
         lab = cloud.label
         total[lab] = total.get(lab, 0) + 1
         correct[lab] = correct.get(lab, 0) + (1 if pred == lab else 0)

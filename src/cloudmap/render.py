@@ -108,7 +108,12 @@ def adain(features: np.ndarray, params: AdaINParams):
     predicted from the control vector. Channel c of the output has mean
     bias[c] and std |scale[c]| up to the ADAIN_EPS floor. Mean and variance
     add the pixels in order, so a channel normalized alone is bit for bit
-    that channel normalized in a stack. Returns (output, cache)."""
+    that channel normalized in a stack. Returns (output, cache).
+
+    Three full-size arrays are made: the running sum for the mean, the
+    centred features (normalized in place into the cache's xhat), and
+    their squares, whose running sum and then the output overwrite them.
+    features is never written."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != params.w_scale.shape[0]:
         raise ValueError(f"feature channels do not match params: {x.shape}")
@@ -117,10 +122,14 @@ def adain(features: np.ndarray, params: AdaINParams):
     n = x.shape[0] * x.shape[1]
     mu = np.cumsum(x.reshape(n, -1), axis=0)[-1] / n
     d = x - mu
-    var = np.cumsum((d * d).reshape(n, -1), axis=0)[-1] / n
+    sq = d * d
+    sq2d = sq.reshape(n, -1)
+    var = np.cumsum(sq2d, axis=0, out=sq2d)[-1] / n
     sigma = np.sqrt(var + ADAIN_EPS)
-    xhat = d / sigma
-    out = y_s * xhat + y_b
+    xhat = d
+    xhat /= sigma
+    out = np.multiply(y_s, xhat, out=sq)
+    out += y_b
     cache = (xhat, sigma, y_s, params)
     return out, cache
 

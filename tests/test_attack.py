@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from cloudmap import attack as attack_module
+from cloudmap import net as net_module
 from cloudmap.attack import (BLOCKED_GRADIENT, AttackReport, asr,
                              attack_suite, fgsm, input_point_gradient)
 from cloudmap.cloud import PointCloud, synth_shape
-from cloudmap.net import evaluate, loss_and_grad, predict
+from cloudmap.net import TrainConfig, evaluate, loss_and_grad, predict, train
 from cloudmap.pipeline import Pipeline, make_pipeline
 from cloudmap.project import MappedImage, remap_frozen
 
@@ -261,21 +263,37 @@ def test_attack_suite_unlabeled_rejected():
         attack_suite(pipe, [PointCloud(np.zeros((4, 3)))], epsilon=0.1)
 
 
-def test_attack_suite_maps_each_cloud_twice(monkeypatch):
-    calls = []
-    original = Pipeline.map_image
+@pytest.mark.parametrize("epsilon", [0.1, 0.0])
+def test_attack_suite_counts_maps_and_forward_passes(monkeypatch, epsilon):
+    # a blocked pipeline maps each cloud once and a leak pipeline twice,
+    # clean first (once at epsilon 0); one forward pass runs per clean
+    # cloud, plus one per cloud the step changed
+    maps, forwards = [], []
+    original_map, original_forward = Pipeline.map_image, net_module._forward_cached
 
-    def spy(self, cloud):
-        calls.append(cloud)
-        return original(self, cloud)
+    def map_spy(self, cloud):
+        maps.append(cloud)
+        return original_map(self, cloud)
 
-    monkeypatch.setattr(Pipeline, "map_image", spy)
+    def forward_spy(*args):
+        forwards.append(args)
+        return original_forward(*args)
+
+    monkeypatch.setattr(Pipeline, "map_image", map_spy)
+    monkeypatch.setattr(net_module, "_forward_cached", forward_spy)
+    monkeypatch.setattr(attack_module, "_forward_cached", forward_spy)
     data = small_testset(per=1)
     for name in ("basic", "leaky", "graphdraw", "zbuffer"):
-        calls.clear()
-        attack_suite(make_pipeline(name, 3, seed=0), data, epsilon=0.1)
-        assert len(calls) == 2 * len(data), name
-        assert all(c is clean for c, clean in zip(calls[::2], data)), name
+        maps.clear()
+        forwards.clear()
+        attack_suite(make_pipeline(name, 3, seed=0), data, epsilon=epsilon)
+        changed = name in ("leaky", "graphdraw") and epsilon != 0.0
+        per_cloud = 2 if changed else 1
+        assert len(maps) == per_cloud * len(data), name
+        assert all(c is clean for c, clean in zip(maps[::per_cloud], data)), name
+        if changed:
+            assert not any(c is clean for c, clean in zip(maps[1::2], data)), name
+        assert len(forwards) == per_cloud * len(data), name
 
 
 def old_composition(pipe, testset, epsilon):
@@ -292,20 +310,51 @@ def old_composition(pipe, testset, epsilon):
     return outcomes
 
 
-def test_attack_suite_equals_old_composition():
-    for name in ("leaky", "graphdraw"):
+@pytest.fixture(scope="module")
+def trained_pipelines():
+    """Nets trained until their predictions differ from cloud to cloud,
+    so an attack at epsilon 0.1 flips some of them."""
+    out = {}
+    for name in ("basic", "leaky", "graphdraw", "zbuffer"):
         pipe = make_pipeline(name, 3, seed=1)
-        data = small_testset(per=2)
-        report = attack_suite(pipe, data, epsilon=0.1)
-        want = old_composition(pipe, data, 0.1)
-        assert report.outcomes == want, name
-        n = len(data)
-        assert report.clean_accuracy == 100.0 * sum(
-            o["clean_pred"] == o["label"] for o in want) / n
-        assert report.attacked_accuracy == 100.0 * sum(
-            o["attacked_pred"] == o["label"] for o in want) / n
-        assert report.mean_perturbation_l2 == float(np.mean(
-            [o["perturbation_l2"] for o in want]))
+        train(pipe, small_testset(), TrainConfig(epochs=20, lr=0.01, batch_size=3, seed=1))
+        out[name] = pipe
+    return out
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.0])
+@pytest.mark.parametrize("name", ["basic", "leaky", "graphdraw", "zbuffer"])
+def test_attack_suite_equals_old_composition(trained_pipelines, name, epsilon):
+    # old_composition maps and classifies every attacked cloud again, the
+    # unchanged ones too, so this pins that skipping it changes nothing
+    pipe = trained_pipelines[name]
+    data = small_testset(per=2)
+    report = attack_suite(pipe, data, epsilon=epsilon)
+    want = old_composition(pipe, data, epsilon)
+    assert report.outcomes == want
+    flipped = any(o["attacked_pred"] != o["clean_pred"] for o in want)
+    assert flipped == (name in ("leaky", "graphdraw") and epsilon != 0.0)
+    n = len(data)
+    assert report.clean_accuracy == 100.0 * sum(
+        o["clean_pred"] == o["label"] for o in want) / n
+    assert report.attacked_accuracy == 100.0 * sum(
+        o["attacked_pred"] == o["label"] for o in want) / n
+    assert report.mean_perturbation_l2 == float(np.mean(
+        [o["perturbation_l2"] for o in want]))
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -float("inf"), -0.1])
+@pytest.mark.parametrize("name", ["basic", "leaky"])
+def test_bad_epsilon_rejected_before_any_map(monkeypatch, name, epsilon):
+    def no_map(self, cloud):
+        raise AssertionError("mapped a cloud")
+    pipe = make_pipeline(name, 3, seed=0)
+    data = small_testset(per=1, n=64)
+    monkeypatch.setattr(Pipeline, "map_image", no_map)
+    with pytest.raises(ValueError, match="epsilon"):
+        attack_suite(pipe, data, epsilon=epsilon)
+    with pytest.raises(ValueError, match="epsilon"):
+        fgsm(pipe, data[0], 0, epsilon=epsilon)
 
 
 def test_attack_suite_deterministic():

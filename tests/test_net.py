@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cloudmap.cloud import SYNTH_KINDS, augment, synth_shape
+from cloudmap import net as net_module
+from cloudmap.cloud import SYNTH_KINDS, PointCloud, augment, synth_shape
 from cloudmap.net import (TinyNet, TrainConfig, _pool_relu, _pool_relu_back,
                           adam_step, evaluate, forward, init_adam_state,
-                          load_checkpoint, loss_and_grad, lr_at, save_checkpoint,
-                          train, write_loss_history)
+                          load_checkpoint, loss_and_grad, lr_at, predict,
+                          save_checkpoint, train, write_loss_history)
 from cloudmap.pipeline import _window_sum, make_pipeline
 
 import tinynet_oracle
@@ -555,6 +556,61 @@ def test_evaluate_order_invariant():
     shuffled = list(data)
     np.random.default_rng(0).shuffle(shuffled)
     assert evaluate(net, pipe, data) == evaluate(net, pipe, shuffled)
+
+
+def reference_evaluate(net, pipe, data):
+    """evaluate as it was: predict on each cloud, each on its own buffers."""
+    correct, total = {}, {}
+    for cloud in data:
+        pred = predict(net, pipe, cloud)
+        total[cloud.label] = total.get(cloud.label, 0) + 1
+        correct[cloud.label] = correct.get(cloud.label, 0) + (pred == cloud.label)
+    inst = 100.0 * sum(correct.values()) / sum(total.values())
+    cls = 100.0 * np.mean([correct[lab] / total[lab] for lab in sorted(total)])
+    return inst, float(cls)
+
+
+def evaluate_logging_logits(monkeypatch, net, pipe, data):
+    """evaluate's result and the logits of every forward pass it ran."""
+    logits = []
+    original = net_module._forward_cached
+
+    def spy(*args):
+        out = original(*args)
+        logits.append(out[0].copy())
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(net_module, "_forward_cached", spy)
+        result = evaluate(net, pipe, data)
+    return result, logits
+
+
+@pytest.mark.parametrize("name", ["basic", "leaky", "graphdraw", "zbuffer"])
+def test_evaluate_equals_the_predict_loop_bit_for_bit(monkeypatch, name):
+    data = [PointCloud(synth_shape(kind, 96, seed=[21, k, i]).points, label=k)
+            for k, kind in enumerate(SYNTH_KINDS[:3]) for i in range(2)]
+    pipe = make_pipeline(name, 3, seed=21)
+    result, logits = evaluate_logging_logits(monkeypatch, pipe.net, pipe, data)
+    assert result == reference_evaluate(pipe.net, pipe, data)
+    assert len(logits) == len(data)
+    for got, cloud in zip(logits, data):
+        assert got.tobytes() == forward(pipe.net, pipe.net_input(cloud)).tobytes()
+
+
+def test_evaluate_of_mixed_input_sizes_equals_the_predict_loop(monkeypatch):
+    # evaluate keeps one set of conv buffers for its whole call; inputs of
+    # changing sizes must replace them, never read a stale one
+    rng = np.random.default_rng(22)
+    data = [ToySample(rng.normal(size=(s, s, 3)), i % 3)
+            for i, s in enumerate((57, 1, 2, 57, 8, 1, 57))]
+    net = TinyNet(3, 3, seed=22)
+    for i in (1, 2, 3):
+        net.params[f"conv{i}_b"] = np.random.default_rng(i).normal(0.0, 0.1, 16)
+    result, logits = evaluate_logging_logits(monkeypatch, net, ToyPipeline(net), data)
+    assert result == reference_evaluate(net, ToyPipeline(net), data)
+    for got, sample in zip(logits, data):
+        assert got.tobytes() == forward(net, sample.image).tobytes()
 
 
 def test_evaluate_empty_rejected():

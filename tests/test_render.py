@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adain_oracle import adain_frozen
 from cloudmap.cloud import SYNTH_KINDS, PointCloud, synth_shape
 from cloudmap.project import GradPath
 from cloudmap.render import (AdaINParams, ZBufferConfig, adain, adain_backward,
@@ -192,6 +195,35 @@ def test_adain_of_one_channel_is_that_channel_of_a_stack():
         alone, _ = adain(depth, identity_params(1))
         stacked, _ = adain(stack, identity_params(3))
         assert np.array_equal(alone[:, :, 0], stacked[:, :, 0]), seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 48), st.integers(1, 48),
+       st.sampled_from(("sparse", "dense")), st.booleans(), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_adain_equals_frozen_copy(channels, h, w, kind, identity, flipped, seed):
+    # sparse: a zbuffer-like depth image, zero but for a few splats in
+    # (0, 1]; dense: normal values at a random offset and scale
+    rng = np.random.default_rng(seed)
+    if kind == "sparse":
+        x = np.where(rng.random((h, w, channels)) < 0.05,
+                     rng.uniform(0.0, 1.0, (h, w, channels)), 0.0)
+    else:
+        x = rng.normal(rng.normal(0.0, 10.0), rng.uniform(1e-3, 10.0), (h, w, channels))
+    if flipped:
+        x = x[::-1, :, ::-1]  # a strided view, not contiguous
+    params = (AdaINParams.identity(channels) if identity
+              else AdaINParams.random(channels, seed=seed % 1000))
+    before = x.copy()
+    out, cache = adain(x, params)
+    want, want_cache = adain_frozen(x, params)
+    assert np.array_equal(x, before)
+    assert out.tobytes() == want.tobytes() and out.shape == want.shape
+    for got, frozen in zip(cache[:3], want_cache[:3]):
+        assert got.tobytes() == frozen.tobytes() and got.shape == frozen.shape
+    assert cache[3] is params
+    assert not np.shares_memory(out, cache[0])
+    assert not np.shares_memory(out, x) and not np.shares_memory(cache[0], x)
 
 
 def test_adain_channel_mismatch_rejected():
