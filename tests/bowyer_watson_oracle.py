@@ -11,6 +11,7 @@ import numpy as np
 from cloudmap.graphdraw import Graph
 
 _STRICT = 1.0 - 1e-12  # circumsphere containment margin
+BRUTE_FORCE_MAX_POINTS = 40  # largest set the enumeration fallback takes
 
 
 def _circumspheres(tets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,10 +108,29 @@ def _connected(n: int, edges: set) -> bool:
     return all(find(v) == root for v in range(n))
 
 
-def triangulate_oracle(pts: np.ndarray, attempts: list | None = None) -> set:
+def _brute_force_edges(pts: np.ndarray) -> set:
+    """Delaunay edges of an (M, d) point set by enumeration: every
+    (d+1)-point simplex whose circumsphere strictly contains no other
+    point."""
+    m, d = pts.shape
+    simplices = []
+    for vs in itertools.combinations(range(m), d + 1):
+        centers, r2 = _circumspheres(pts[np.array([vs])])
+        others = np.delete(pts, vs, axis=0)
+        if np.isfinite(r2[0]) and not (((others - centers[0]) ** 2).sum(-1)
+                                       < r2[0] * _STRICT).any():
+            simplices.append(vs)
+    return _edges_from_simplices(simplices)
+
+
+def triangulate_oracle(pts: np.ndarray, attempts: list | None = None,
+                       brute_force: bool = False) -> set:
     """Bowyer-Watson with validation; jittered retries handle degenerate
     (cospherical / cocircular) inputs deterministically. Each attempt that
-    runs appends its index to attempts, when given."""
+    runs appends its index to attempts, when given. With brute_force, a
+    set of at most BRUTE_FORCE_MAX_POINTS points that fails every attempt
+    takes the enumerated edges instead of raising, as the package's
+    triangulation does since it gained that fallback."""
     m = len(pts)
     span = float((pts.max(0) - pts.min(0)).max()) or 1.0
     for attempt, eps in enumerate((0.0, 1e-9, 1e-7)):
@@ -128,6 +148,10 @@ def triangulate_oracle(pts: np.ndarray, attempts: list | None = None) -> set:
         covered = set(v for e in edges for v in e)
         if len(covered) == m and _connected(m, edges):
             return edges
+    if brute_force and m <= BRUTE_FORCE_MAX_POINTS:
+        edges = _brute_force_edges(pts)
+        if _connected(m, edges):
+            return edges
     raise RuntimeError(f"triangulation failed for {m} points after jitter retries")
 
 
@@ -140,9 +164,11 @@ def _principal_frame(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return ctr, vt, rank
 
 
-def delaunay3_oracle(points: np.ndarray, attempts: list | None = None) -> Graph:
+def delaunay3_oracle(points: np.ndarray, attempts: list | None = None,
+                     brute_force: bool = False) -> Graph:
     """The old delaunay3: Delaunay edge set of an (M, 3) point set, with the
-    2-D, collinear and duplicate-point handling of the package."""
+    2-D, collinear and duplicate-point handling of the package. brute_force
+    is passed to triangulate_oracle."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     m = len(pts)
     if m < 2:
@@ -167,7 +193,7 @@ def delaunay3_oracle(points: np.ndarray, attempts: list | None = None) -> Graph:
                 edges.add(tuple(sorted((int(rep[a]), int(rep[b])))))
         else:
             coords = uniq if rank == 3 else ctr @ vt[:2].T
-            for a, b in triangulate_oracle(coords, attempts):
+            for a, b in triangulate_oracle(coords, attempts, brute_force):
                 edges.add(tuple(sorted((int(rep[a]), int(rep[b])))))
 
     for i in range(m):

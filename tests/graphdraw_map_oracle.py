@@ -8,7 +8,8 @@ image and leak map exactly. Do not simplify this file.
 The lockstep delaunay3_many and grid_embed_many give each set the result
 it gets alone, so the copy triangulates and embeds one set at a time with
 the frozen copies of those steps; it shares only balanced_kmeans and
-draw_image with the package.
+draw_image with the package. Like the package, it gives a sliver cluster
+that no jittered attempt triangulates the enumerated Delaunay edges.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ def build_hierarchy_oracle(cloud, seed=0):
     """The clustering, the Delaunay graph of its centres and one graph per
     cluster."""
     h = balanced_kmeans(cloud, seed=seed)
-    graphs = iter([delaunay3_oracle(pts) for pts in
+    graphs = iter([delaunay3_oracle(pts, brute_force=True) for pts in
                    [h.centers] + [cloud.points[mem] for mem in h.members if len(mem) >= 2]])
     top_edges = next(graphs)
     within_edges = [next(graphs) if len(mem) >= 2

@@ -614,6 +614,7 @@ FROZEN_MAP_EXAMPLES = [("cone", 64, 0, 1), ("torus", 64, 1, 1), ("sphere", 64, 3
 @example(*FROZEN_MAP_EXAMPLES[0])
 @example(*FROZEN_MAP_EXAMPLES[1])
 @example(*FROZEN_MAP_EXAMPLES[2])
+@example("cylinder", 128, 373, 2508)  # a sliver cluster that takes the brute-force edges
 def test_map_graphdraw_matches_frozen_assembly(kind, n, seed, aug_seed):
     cloud, seed = frozen_map_cloud(kind, n, seed, aug_seed)
     got = map_graphdraw(cloud, seed=seed)
