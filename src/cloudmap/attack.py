@@ -2,7 +2,7 @@
 gradient topology: quantized mappers return a Blocked marker and the
 attack degenerates to a no-op, while mappers that write coordinates into
 intensities expose a differentiable route from the loss back to every
-point, chained through the scatter record of each mapped image.
+point, which Pipeline.point_gradient chains through each image's record.
 """
 
 import csv
@@ -14,7 +14,7 @@ import numpy as np
 from .cloud import PointCloud
 from .net import _forward_cached, _loss_and_grads, _scratch, check_labeled, loss_and_grad
 from .pipeline import Pipeline
-from .project import GradPath, MappedImage, cloud_key, encode_slope
+from .project import GradPath, MappedImage, cloud_key
 
 
 class _BlockedMarker:
@@ -33,18 +33,6 @@ BLOCKED_GRADIENT = _BlockedMarker()
 def _check_epsilon(epsilon) -> None:
     if not (np.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-
-
-def _point_gradient(cloud: PointCloud, image: MappedImage,
-                    d_input: np.ndarray) -> np.ndarray:
-    """Chains the net-input gradient d_input back through image's scatter
-    record: each recorded point gets, on every channel, the encode's slope
-    times the gradient of the cell its pixel is sum-pooled into."""
-    f = image.height // d_input.shape[0]
-    rows, cols, _, pts = image.scatter
-    grad = np.zeros_like(cloud.points)
-    np.add.at(grad, pts, encode_slope(cloud.points[pts]) * d_input[rows // f, cols // f])
-    return grad
 
 
 def _sign_step(cloud: PointCloud, grad: np.ndarray, epsilon: float) -> PointCloud:
@@ -67,11 +55,9 @@ def input_point_gradient(pipeline: Pipeline, cloud: PointCloud, label: int,
         return BLOCKED_GRADIENT
     if image.source_key != cloud_key(cloud):
         raise ValueError("stale leak_map: cloud changed since it was mapped")
-    if image.scatter is None:
-        raise ValueError("image has no scatter record; map the cloud with the pipeline")
     x = pipeline.net_input_from_image(image)
     _, _, d_input = loss_and_grad(pipeline.net, x, label)
-    return _point_gradient(cloud, image, d_input)
+    return pipeline.point_gradient(cloud, image, d_input)
 
 
 @dataclass
@@ -82,13 +68,12 @@ class FGSMResult:
 
 
 def fgsm(pipeline: Pipeline, cloud: PointCloud, label: int,
-         epsilon: float = 0.1, image: MappedImage | None = None) -> FGSMResult:
+         epsilon: float = 0.1) -> FGSMResult:
     """x' = x + epsilon * sign(grad), one step. A blocked pipeline returns
-    the input unchanged with the blocked flag set. image, if given, is the
-    pipeline's map of cloud and saves mapping it again. epsilon must be
-    finite and >= 0."""
+    the input unchanged with the blocked flag set. epsilon must be finite
+    and >= 0."""
     _check_epsilon(epsilon)
-    grad = input_point_gradient(pipeline, cloud, label, image=image)
+    grad = input_point_gradient(pipeline, cloud, label)
     if grad is BLOCKED_GRADIENT:
         return FGSMResult(cloud, True, 0.0)
     return FGSMResult(_sign_step(cloud, grad, epsilon), False, float(np.linalg.norm(grad)))
@@ -134,16 +119,17 @@ class AttackReport:
 def attack_suite(pipeline: Pipeline, testset: list,
                  epsilon: float = 0.1) -> AttackReport:
     """Clean and attacked accuracy over the same samples; epsilon must be
-    finite and >= 0. Each clean cloud is mapped once and goes through one
-    forward pass, which gives its clean prediction and, on a leak
-    pipeline, the backward pass of its fgsm step. A cloud the step leaves
-    unchanged (a blocked pipeline, or epsilon 0) keeps its clean
-    prediction; a changed cloud is mapped and classified again (same
-    mapper seed). All of it runs on conv buffers kept for the whole call,
-    and each outcome equals that of predict, fgsm and predict in turn."""
+    finite and >= 0, and labels are checked before any map. Each clean
+    cloud is mapped once and goes through one forward pass, which gives
+    its clean prediction. A cloud the step would leave unchanged (a
+    blocked pipeline, or epsilon 0) keeps it, and no backward pass runs;
+    otherwise the pass feeds the backward pass of the fgsm step, and the
+    moved cloud is mapped and classified again (same mapper seed). All of
+    it runs on conv buffers kept for the whole call, and each outcome
+    equals that of predict, fgsm and predict in turn."""
     _check_epsilon(epsilon)
-    check_labeled(testset)
     net = pipeline.net
+    check_labeled(testset, net.num_classes)
     scratch = _scratch()
     outcomes = []
     clean_hits = 0
@@ -152,16 +138,14 @@ def attack_suite(pipeline: Pipeline, testset: list,
     for i, cloud in enumerate(testset):
         image = pipeline.map_image(cloud)
         x = pipeline.net_input_from_image(image)
-        if image.grad_path is GradPath.BLOCKED:
-            logits = _forward_cached(net, x, 1, scratch)[0]
+        if image.grad_path is GradPath.BLOCKED or epsilon == 0.0:
+            clean_pred = attacked_pred = int(np.argmax(_forward_cached(net, x, 1, scratch)[0]))
             attacked_cloud = cloud
         else:
             _, _, d_input, logits = _loss_and_grads(net, x, cloud.label, 1, True, scratch)
-            attacked_cloud = _sign_step(cloud, _point_gradient(cloud, image, d_input), epsilon)
-        clean_pred = int(np.argmax(logits))
-        if attacked_cloud is cloud:
-            attacked_pred = clean_pred
-        else:
+            clean_pred = int(np.argmax(logits))
+            grad = pipeline.point_gradient(cloud, image, d_input)
+            attacked_cloud = _sign_step(cloud, grad, epsilon)
             x = pipeline.net_input(attacked_cloud)
             attacked_pred = int(np.argmax(_forward_cached(net, x, 1, scratch)[0]))
         l2 = float(np.linalg.norm(attacked_cloud.points - cloud.points))

@@ -247,20 +247,25 @@ def adam_step(params: dict, grads: dict, state: dict, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 # training and evaluation
 
-def check_labeled(dataset: list) -> None:
-    """Rejects an empty dataset, or one holding an unlabeled cloud."""
+def check_labeled(dataset: list, num_classes: int) -> None:
+    """Rejects an empty dataset, or one holding an unlabeled cloud or a
+    label outside range(num_classes)."""
     if not dataset:
         raise ValueError("empty dataset")
-    if any(cloud.label is None for cloud in dataset):
+    labels = {cloud.label for cloud in dataset}
+    if None in labels:
         raise ValueError("dataset cloud missing label")
+    bad = sorted(lab for lab in labels if not 0 <= lab < num_classes)
+    if bad:
+        raise ValueError(f"labels {bad} out of range for {num_classes} classes")
 
 
 def train(pipeline, dataset: list, cfg: TrainConfig):
     """Train the pipeline's net on labeled clouds. Augmentation (when
     configured) is re-rolled per sample per epoch; inference inside
     evaluate() never augments. Returns (net, per-epoch mean loss)."""
-    check_labeled(dataset)
     net = pipeline.net
+    check_labeled(dataset, net.num_classes)
     state = init_adam_state(net)
     scratch = _scratch()
     static_inputs = None
@@ -312,7 +317,7 @@ def evaluate(net: TinyNet, pipeline, dataset: list) -> tuple[float, float]:
     """(instance accuracy, class accuracy) in percent. Class accuracy is
     the unweighted mean of per-class recalls. Each cloud is mapped once and
     classified as predict would, on conv buffers kept for the whole call."""
-    check_labeled(dataset)
+    check_labeled(dataset, net.num_classes)
     scratch = _scratch()
     correct = {}
     total = {}

@@ -16,7 +16,7 @@ import numpy as np
 from .cloud import PointCloud
 from .graphdraw import GRID, map_graphdraw
 from .net import TinyNet
-from .project import SIZE, GradPath, MappedImage, basic_project, basic_project_leaky
+from .project import SIZE, GradPath, MappedImage, basic_project, basic_project_leaky, encode_slope
 from .render import AdaINParams, ZBufferConfig, adain, positional_embedding, zbuffer
 
 ZCONFIG = ZBufferConfig()
@@ -41,10 +41,17 @@ def _window_sum(x: np.ndarray, factor: int) -> np.ndarray:
 
 def _sum_pool(image: MappedImage, factor: int) -> np.ndarray:
     """Sums a sparse image over factor x factor windows. The lit pixels
-    are added in row-major order, the order in which _window_sum adds
-    each window's pixels, and its other pixels are zero, so the two are
-    bit-identical; this reads only the lit pixels."""
-    rows, cols, values = image.lit_pixels()
+    (the scatter record's, or a dense image's pixels with a nonzero
+    channel) are added in row-major order, the order in which _window_sum
+    adds each window's pixels, and its other pixels are zero, so the two
+    are bit-identical; this reads only the lit pixels."""
+    if image.scatter is None:
+        rows, cols = np.nonzero(image.data.any(axis=2))
+        values = image.data[rows, cols]
+    else:
+        rows, cols, values, _ = image.scatter
+        order = np.argsort(rows * image.width + cols, kind="stable")
+        rows, cols, values = rows[order], cols[order], values[order]
     ph, pw = -(-image.height // factor), -(-image.width // factor)
     out = np.zeros((ph * pw, image.channels))
     np.add.at(out, rows // factor * pw + cols // factor, values)
@@ -104,6 +111,7 @@ class Pipeline:
     size = property(lambda self: MAPPERS[self.name].size)
     c_in = property(lambda self: MAPPERS[self.name].c_in)
     grad_path = property(lambda self: MAPPERS[self.name].grad_path)
+    pool_factor = property(lambda self: -(-self.size // 64))  # net input <= 64x64
     zconfig = property(lambda self: ZCONFIG if self.name == "zbuffer" else None)
     # net inputs arrive pooled; the benchmark and criterion 7 still read this
     downsample = property(lambda self: 1)
@@ -115,7 +123,7 @@ class Pipeline:
         """The array TinyNet reads, at most 64x64. Sparse images are
         sum-pooled from their lit pixels; zbuffer gets positional channels
         and identity AdaIN over every pixel, then an average pool by 5."""
-        f = -(-self.size // 64)
+        f = self.pool_factor
         if MAPPERS[self.name].sparse:
             return _sum_pool(image, f)
         x = image.data
@@ -124,6 +132,21 @@ class Pipeline:
 
     def net_input(self, cloud: PointCloud) -> np.ndarray:
         return self.net_input_from_image(self.map_image(cloud))
+
+    def point_gradient(self, cloud: PointCloud, image: MappedImage,
+                       d_input: np.ndarray) -> np.ndarray:
+        """The adjoint of net_input_from_image on a sparse leak image of
+        cloud: chains the net-input gradient d_input back through the
+        image's scatter record, so each recorded point gets, on every
+        channel, the encode's slope times the gradient of the cell its
+        pixel is sum-pooled into. Pixel assignments are held fixed."""
+        if image.scatter is None or image.scatter.pts is None:
+            raise ValueError("image has no scatter record linking points to pixels")
+        f = self.pool_factor
+        rows, cols, _, pts = image.scatter
+        grad = np.zeros_like(cloud.points)
+        np.add.at(grad, pts, encode_slope(cloud.points[pts]) * d_input[rows // f, cols // f])
+        return grad
 
 
 def make_pipeline(name: str, num_classes: int, seed: int = 0,

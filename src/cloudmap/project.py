@@ -95,17 +95,6 @@ class MappedImage:
                 np.tile(np.arange(c), len(s.pts))])
         return self._leak_map
 
-    def lit_pixels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values) of the lit pixels in row-major order: the
-        scatter record's pixels, or a dense image's pixels with a nonzero
-        channel."""
-        if self.scatter is None:
-            rows, cols = np.nonzero(self._data.any(axis=2))
-            return rows, cols, self._data[rows, cols]
-        rows, cols, values, _ = self.scatter
-        order = np.argsort(rows * self.width + cols, kind="stable")
-        return rows[order], cols[order], values[order]
-
     @property
     def height(self) -> int:
         return self.shape[0]

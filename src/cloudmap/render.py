@@ -27,15 +27,13 @@ ADAIN_EPS = 1e-5  # variance floor of adain, inside the square root
 class ZBufferConfig:
     alpha: float = 0.0   # image plane touches the near side of the unit ball
     beta: float = 1.0
-    size: int = 313
-    splat: int = 3
+    size: ClassVar[int] = 313
+    splat: ClassVar[int] = 3  # odd: the block is centred on the point's pixel
     view: ClassVar[str] = "z"  # the one view: along z, from the positive side
 
     def __post_init__(self):
         if self.beta <= 0.0:
             raise ValueError("beta must be > 0")
-        if self.splat < 1 or self.splat % 2 == 0:
-            raise ValueError("splat must be odd and >= 1")
 
 
 def zbuffer(cloud: PointCloud, config: ZBufferConfig = ZBufferConfig()) -> MappedImage:

@@ -125,6 +125,12 @@ def test_leak_gradient_needs_the_scatter_record():
                         source_key=image.source_key)
     with pytest.raises(ValueError, match="no scatter record"):
         input_point_gradient(pipe, cloud, 0, image=dense)
+    d_input = np.ones_like(pipe.net_input_from_image(image))
+    with pytest.raises(ValueError, match="no scatter record"):
+        pipe.point_gradient(cloud, dense, d_input)
+    blocked = make_pipeline("basic", 3, seed=0)  # its record links no point
+    with pytest.raises(ValueError, match="no scatter record linking points"):
+        blocked.point_gradient(cloud, blocked.map_image(cloud), d_input)
 
 
 def test_stale_leak_map_rejected():
@@ -179,25 +185,6 @@ def test_fgsm_moves_by_exactly_epsilon():
     assert np.allclose(np.abs(delta[nz]), 0.1, atol=1e-12)
     assert np.all(delta[~nz] == 0.0)
     assert res.grad_norm == pytest.approx(float(np.linalg.norm(grad)))
-
-
-def test_fgsm_with_image_equals_fgsm_without():
-    for name in ("leaky", "graphdraw"):
-        pipe = make_pipeline(name, 3, seed=0)
-        cloud = labeled(synth_shape("cone", 96, seed=9).points, label=2)
-        image = pipe.map_image(cloud)
-        a = fgsm(pipe, cloud, 2, epsilon=0.1, image=image)
-        b = fgsm(pipe, cloud, 2, epsilon=0.1)
-        assert np.array_equal(a.cloud.points, b.cloud.points), name
-        assert a.grad_norm == b.grad_norm and a.blocked == b.blocked
-
-
-def test_fgsm_rejects_stale_image():
-    pipe = make_pipeline("leaky", 3, seed=0)
-    cloud = labeled(synth_shape("cube", 64, seed=3).points)
-    image = pipe.map_image(cloud)
-    with pytest.raises(ValueError, match="stale leak_map"):
-        fgsm(pipe, labeled(cloud.points + 0.01), 0, image=image)
 
 
 def test_fgsm_pure_function():
@@ -263,13 +250,33 @@ def test_attack_suite_unlabeled_rejected():
         attack_suite(pipe, [PointCloud(np.zeros((4, 3)))], epsilon=0.1)
 
 
+@pytest.mark.parametrize("run", [
+    lambda pipe, data: train(pipe, data, TrainConfig(epochs=1, augment_cfg=None)),
+    lambda pipe, data: evaluate(pipe.net, pipe, data),
+    lambda pipe, data: attack_suite(pipe, data, epsilon=0.1),
+    lambda pipe, data: attack_suite(pipe, data, epsilon=0.0),
+], ids=["train", "evaluate", "attack_suite", "attack_suite_eps0"])
+@pytest.mark.parametrize("name", ["basic", "leaky"])
+def test_label_out_of_range_rejected_before_any_map(monkeypatch, name, run):
+    def no_map(self, cloud):
+        raise AssertionError("mapped a cloud")
+    pipe = make_pipeline(name, 3, seed=0)
+    data = small_testset(per=1, n=64) + [labeled(np.zeros((4, 3)), label=7),
+                                         labeled(np.ones((4, 3)), label=-1)]
+    monkeypatch.setattr(Pipeline, "map_image", no_map)
+    with pytest.raises(ValueError, match=r"labels \[-1, 7\] out of range for 3 classes"):
+        run(pipe, data)
+
+
 @pytest.mark.parametrize("epsilon", [0.1, 0.0])
 def test_attack_suite_counts_maps_and_forward_passes(monkeypatch, epsilon):
     # a blocked pipeline maps each cloud once and a leak pipeline twice,
     # clean first (once at epsilon 0); one forward pass runs per clean
-    # cloud, plus one per cloud the step changed
-    maps, forwards = [], []
+    # cloud, plus one per cloud the step changed, and a backward pass
+    # runs only for a cloud the step changes
+    maps, forwards, backwards = [], [], []
     original_map, original_forward = Pipeline.map_image, net_module._forward_cached
+    original_backward = net_module._loss_and_grads
 
     def map_spy(self, cloud):
         maps.append(cloud)
@@ -279,13 +286,19 @@ def test_attack_suite_counts_maps_and_forward_passes(monkeypatch, epsilon):
         forwards.append(args)
         return original_forward(*args)
 
+    def backward_spy(*args):
+        backwards.append(args)
+        return original_backward(*args)
+
     monkeypatch.setattr(Pipeline, "map_image", map_spy)
     monkeypatch.setattr(net_module, "_forward_cached", forward_spy)
     monkeypatch.setattr(attack_module, "_forward_cached", forward_spy)
+    monkeypatch.setattr(attack_module, "_loss_and_grads", backward_spy)
     data = small_testset(per=1)
     for name in ("basic", "leaky", "graphdraw", "zbuffer"):
         maps.clear()
         forwards.clear()
+        backwards.clear()
         attack_suite(make_pipeline(name, 3, seed=0), data, epsilon=epsilon)
         changed = name in ("leaky", "graphdraw") and epsilon != 0.0
         per_cloud = 2 if changed else 1
@@ -294,6 +307,7 @@ def test_attack_suite_counts_maps_and_forward_passes(monkeypatch, epsilon):
         if changed:
             assert not any(c is clean for c, clean in zip(maps[1::2], data)), name
         assert len(forwards) == per_cloud * len(data), name
+        assert len(backwards) == (len(data) if changed else 0), name
 
 
 def old_composition(pipe, testset, epsilon):

@@ -20,10 +20,6 @@ def one_point_cloud(x=0.0, y=0.0, z=0.0):
 def test_config_validation():
     with pytest.raises(ValueError):
         ZBufferConfig(beta=0.0)
-    with pytest.raises(ValueError):
-        ZBufferConfig(splat=2)
-    with pytest.raises(ValueError):
-        ZBufferConfig(splat=-1)
     with pytest.raises(TypeError):
         ZBufferConfig(view="w")
 
@@ -86,12 +82,6 @@ def test_zbuffer_clamps_closer_than_alpha():
     # the raw value e^{+0.5} must clamp to 1.0
     img = zbuffer(one_point_cloud(z=1.0), ZBufferConfig(alpha=0.5))
     assert np.all(img.data[155:158, 155:158, 0] == 1.0)
-
-
-def test_zbuffer_splat_one():
-    img = zbuffer(one_point_cloud(z=1.0), ZBufferConfig(splat=1))
-    assert img.data.sum() == 1.0
-    assert img.data[156, 156, 0] == 1.0
 
 
 def test_zbuffer_edge_splat_clipped():

@@ -1,5 +1,7 @@
 """The sparse mappers' scatter record against a frozen copy of the dense
-buffers, leak maps and window-sum pool they replaced."""
+buffers, leak maps and window-sum pool they replaced, and the pipeline's
+point gradient through the record against a frozen copy of its first
+version."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -72,6 +74,43 @@ def test_projection_record_matches_frozen_dense_build(name, n, seed, spread, lat
 @example(96, 5, 1.5)
 def test_graphdraw_record_matches_frozen_dense_build(n, seed, spread):
     check_record("graphdraw", random_cloud(n, seed, spread, 0), seed % 7)
+
+
+def frozen_point_gradient(cloud, image, d_input):
+    """The record's point gradient as the attack module computed it while
+    it read the pool factor off the array shapes."""
+    f = image.height // d_input.shape[0]
+    rows, cols, _, pts = image.scatter
+    grad = np.zeros_like(cloud.points)
+    slope = np.where(np.abs(cloud.points[pts]) <= 1.0, 0.5, 0.0)
+    np.add.at(grad, pts, slope * d_input[rows // f, cols // f])
+    return grad
+
+
+def check_point_gradient(name, cloud, seed):
+    pipe = make_pipeline(name, 3, seed=0, map_seed=seed)
+    image = pipe.map_image(cloud)
+    rng = np.random.default_rng(seed)
+    shape = pipe.net_input_from_image(image).shape
+    # mixed signs over twelve decades, so any change of order or factor shows
+    d_input = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, shape)
+    got = pipe.point_gradient(cloud, image, d_input)
+    assert np.array_equal(got, frozen_point_gradient(cloud, image, d_input))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 400), st.integers(0, 2**32 - 1), st.sampled_from((0.5, 1.0, 1.5)),
+       st.sampled_from((0, 4, 64)))
+@example(300, 0, 1.5, 4)  # collisions and out-of-frame points
+def test_leaky_point_gradient_matches_frozen_adjoint(n, seed, spread, lattice):
+    check_point_gradient("leaky", random_cloud(n, seed, spread, lattice), seed)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(32, 160), st.integers(0, 2**32 - 1), st.sampled_from((1.0, 1.5)))
+@example(96, 5, 1.5)
+def test_graphdraw_point_gradient_matches_frozen_adjoint(n, seed, spread):
+    check_point_gradient("graphdraw", random_cloud(n, seed, spread, 0), seed % 7)
 
 
 def test_frozen_examples_hold_collisions_and_out_of_frame_points():
