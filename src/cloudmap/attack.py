@@ -1,7 +1,7 @@
 """FGSM attack harness. The interesting part is not the sign step but the
-gradient topology: quantized mappers return a Blocked marker and the
-attack degenerates to a no-op, while mappers that write coordinates into
-intensities expose a differentiable route from the loss back to every
+gradient topology: quantized mappers have no input gradient (None) and
+the attack degenerates to a no-op, while mappers that write coordinates
+into intensities expose a differentiable route from the loss back to every
 point, which Pipeline.point_gradient chains through each image's record.
 """
 
@@ -17,17 +17,7 @@ from .pipeline import Pipeline
 from .project import GradPath, MappedImage, cloud_key
 
 
-class _BlockedMarker:
-    """Singleton returned where a gradient would be if one existed."""
-
-    def __repr__(self):
-        return "BLOCKED_GRADIENT"
-
-    def __bool__(self):
-        return False
-
-
-BLOCKED_GRADIENT = _BlockedMarker()
+BLOCKED_GRADIENT = None  # a blocked image's gradient: there is no link to follow
 
 
 def _check_epsilon(epsilon) -> None:
@@ -45,14 +35,14 @@ def _sign_step(cloud: PointCloud, grad: np.ndarray, epsilon: float) -> PointClou
 def input_point_gradient(pipeline: Pipeline, cloud: PointCloud, label: int,
                          image: MappedImage | None = None):
     """Gradient of the classification loss wrt every point coordinate,
-    or BLOCKED_GRADIENT when the mapper quantizes coordinates away.
+    or None (BLOCKED_GRADIENT) when the mapper quantizes coordinates away.
 
     Pixel and cell assignments are held fixed: only the intensity values
     are differentiated, through the image's scatter record."""
     if image is None:
         image = pipeline.map_image(cloud)
     if image.grad_path is GradPath.BLOCKED:
-        return BLOCKED_GRADIENT
+        return None
     if image.source_key != cloud_key(cloud):
         raise ValueError("stale leak_map: cloud changed since it was mapped")
     x = pipeline.net_input_from_image(image)
@@ -74,7 +64,7 @@ def fgsm(pipeline: Pipeline, cloud: PointCloud, label: int,
     and >= 0."""
     _check_epsilon(epsilon)
     grad = input_point_gradient(pipeline, cloud, label)
-    if grad is BLOCKED_GRADIENT:
+    if grad is None:
         return FGSMResult(cloud, True, 0.0)
     return FGSMResult(_sign_step(cloud, grad, epsilon), False, float(np.linalg.norm(grad)))
 

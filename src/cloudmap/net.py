@@ -13,6 +13,8 @@ loss_and_grad keep a downsample argument that must be 1.
 
 import csv
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 
@@ -43,6 +45,11 @@ class TrainConfig:
         if not isinstance(self.augment_cfg, (bool, type(None))):
             raise ValueError(f"augment_cfg must be None, False or True, got {self.augment_cfg!r}")
         self.augment_cfg = bool(self.augment_cfg)
+        if not all(isinstance(v, numbers.Integral)
+                   for v in (self.epochs, self.batch_size, self.lr_step)):
+            raise ValueError("epochs, batch_size and lr_step must be integers")
+        if not all(math.isfinite(v) for v in (self.lr, self.lr_gamma, self.weight_decay)):
+            raise ValueError("lr, lr_gamma and weight_decay must be finite")
         if self.epochs < 1 or self.batch_size < 1 or self.lr_step < 1:
             raise ValueError("epochs, batch_size and lr_step must be >= 1")
         if self.lr <= 0 or self.lr_gamma <= 0:

@@ -40,18 +40,16 @@ def _window_sum(x: np.ndarray, factor: int) -> np.ndarray:
 
 
 def _sum_pool(image: MappedImage, factor: int) -> np.ndarray:
-    """Sums a sparse image over factor x factor windows. The lit pixels
-    (the scatter record's, or a dense image's pixels with a nonzero
-    channel) are added in row-major order, the order in which _window_sum
-    adds each window's pixels, and its other pixels are zero, so the two
-    are bit-identical; this reads only the lit pixels."""
+    """Sums a sparse image over factor x factor windows. A record image's
+    lit pixels are added in row-major order, the order in which
+    _window_sum adds each window's pixels, and its other pixels are zero,
+    so the two are bit-identical; this reads only the lit pixels. A
+    dense-built image goes to _window_sum itself."""
     if image.scatter is None:
-        rows, cols = np.nonzero(image.data.any(axis=2))
-        values = image.data[rows, cols]
-    else:
-        rows, cols, values, _ = image.scatter
-        order = np.argsort(rows * image.width + cols, kind="stable")
-        rows, cols, values = rows[order], cols[order], values[order]
+        return _window_sum(image.data, factor)
+    rows, cols, values, _ = image.scatter
+    order = np.argsort(rows * image.width + cols, kind="stable")
+    rows, cols, values = rows[order], cols[order], values[order]
     ph, pw = -(-image.height // factor), -(-image.width // factor)
     out = np.zeros((ph * pw, image.channels))
     np.add.at(out, rows // factor * pw + cols // factor, values)
@@ -102,6 +100,12 @@ MAPPERS = {
 PIPELINE_NAMES = tuple(MAPPERS)
 
 
+def _mapper(name: str) -> Mapper:
+    if name not in MAPPERS:
+        raise ValueError(f"unknown pipeline {name!r}, expected one of {PIPELINE_NAMES}")
+    return MAPPERS[name]
+
+
 @dataclass
 class Pipeline:
     name: str
@@ -115,6 +119,11 @@ class Pipeline:
     zconfig = property(lambda self: ZCONFIG if self.name == "zbuffer" else None)
     # net inputs arrive pooled; the benchmark and criterion 7 still read this
     downsample = property(lambda self: 1)
+
+    def __post_init__(self):
+        c_in = _mapper(self.name).c_in
+        if self.net.c_in != c_in:
+            raise ValueError(f"net expects {self.net.c_in} channels, mapper provides {c_in}")
 
     def map_image(self, cloud: PointCloud) -> MappedImage:
         return MAPPERS[self.name].map(self, cloud)
@@ -151,11 +160,6 @@ class Pipeline:
 
 def make_pipeline(name: str, num_classes: int, seed: int = 0,
                   net: TinyNet | None = None, map_seed: int = 0) -> Pipeline:
-    if name not in MAPPERS:
-        raise ValueError(f"unknown pipeline {name!r}, expected one of {PIPELINE_NAMES}")
-    c_in = MAPPERS[name].c_in
     if net is None:
-        net = TinyNet(c_in, num_classes, seed=seed)
-    elif net.c_in != c_in:
-        raise ValueError(f"net expects {net.c_in} channels, mapper provides {c_in}")
+        net = TinyNet(_mapper(name).c_in, num_classes, seed=seed)
     return Pipeline(name=name, net=net, map_seed=map_seed)

@@ -6,6 +6,7 @@ grad_path tag records whether raw point coordinates reach pixel intensities
 module keys off it.
 """
 
+import functools
 import hashlib
 from enum import Enum
 from typing import NamedTuple
@@ -45,55 +46,47 @@ class MappedImage:
     fingerprints the cloud a leak_map links to, so a stale one can be
     detected; images without a leak_map leave it None.
 
-    The constructor takes a dense image. Sparse mappers build theirs with
-    from_scatter, which keeps only the scatter record; data and leak_map
-    are then built from the record on first read, and writing to them
-    leaves the record as it was. scatter is None for a dense-built image.
+    MappedImage(data, grad_path, leak_map, source_key) keeps the dense data
+    and leak_map it is given as they are, and its scatter is None. Sparse
+    mappers build theirs with from_scatter, which keeps only the scatter
+    record; data and leak_map are then built from the record on first read,
+    and writing into them, or assigning to them, leaves the record as it was.
     """
 
-    def __init__(self, data: np.ndarray, grad_path: GradPath,
-                 leak_map: np.ndarray | None = None, source_key: str | None = None):
-        if data.ndim != 3:
-            raise ValueError("data must be (H, W, C)")
-        self._set(data.shape, grad_path, source_key,
-                  leak_map is not None and len(leak_map) > 0)
-        self.scatter = None
-        self._data, self._leak_map = data, leak_map
+    def __init__(self, data: np.ndarray | tuple, grad_path: GradPath,
+                 leak_map: np.ndarray | Scatter | None = None, source_key: str | None = None):
+        if isinstance(leak_map, Scatter):  # from_scatter: data is the image's shape
+            self.shape, self.scatter, links = data, leak_map, leak_map.pts
+        else:
+            if data.ndim != 3:
+                raise ValueError("data must be (H, W, C)")
+            self.shape, self.scatter, links = data.shape, None, leak_map
+            self.data, self.leak_map = data, leak_map
+        if (links is not None and len(links) > 0) != (grad_path is GradPath.COORDINATE_LEAK):
+            raise ValueError("leak_map must be non-empty iff grad_path is COORDINATE_LEAK")
+        self.grad_path, self.source_key = grad_path, source_key
 
     @classmethod
     def from_scatter(cls, shape: tuple, grad_path: GradPath, scatter: Scatter,
                      source_key: str | None) -> "MappedImage":
         """The (H, W, C) image lit only at scatter's pixels, linked on
         every channel to scatter.pts when those are given."""
-        image = object.__new__(cls)
-        image._set(shape, grad_path, source_key,
-                   scatter.pts is not None and len(scatter.pts) > 0)
-        image.scatter = scatter
-        image._data = image._leak_map = None
-        return image
+        return cls(shape, grad_path, scatter, source_key)
 
-    def _set(self, shape, grad_path, source_key, has_leak):
-        if has_leak != (grad_path is GradPath.COORDINATE_LEAK):
-            raise ValueError("leak_map must be non-empty iff grad_path is COORDINATE_LEAK")
-        self.shape, self.grad_path, self.source_key = shape, grad_path, source_key
-
-    @property
+    @functools.cached_property
     def data(self) -> np.ndarray:
-        if self._data is None:
-            s = self.scatter
-            self._data = np.zeros(self.shape)
-            self._data[s.rows, s.cols] = s.values
-        return self._data
-
-    @property
-    def leak_map(self) -> np.ndarray | None:
         s = self.scatter
-        if self._leak_map is None and s is not None and s.pts is not None:
-            c = self.channels
-            self._leak_map = np.column_stack([
-                np.repeat(s.rows, c), np.repeat(s.cols, c), np.repeat(s.pts, c),
-                np.tile(np.arange(c), len(s.pts))])
-        return self._leak_map
+        data = np.zeros(self.shape)
+        data[s.rows, s.cols] = s.values
+        return data
+
+    @functools.cached_property
+    def leak_map(self) -> np.ndarray | None:
+        s, c = self.scatter, self.channels
+        if s.pts is None:
+            return None
+        return np.column_stack([np.repeat(s.rows, c), np.repeat(s.cols, c),
+                                np.repeat(s.pts, c), np.tile(np.arange(c), len(s.pts))])
 
     @property
     def height(self) -> int:

@@ -11,6 +11,7 @@ from a scene-control vector; the backward pass is implemented by hand so
 the layer can sit inside the numpy training loop.
 """
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -32,6 +33,8 @@ class ZBufferConfig:
     view: ClassVar[str] = "z"  # the one view: along z, from the positive side
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError("alpha and beta must be finite")
         if self.beta <= 0.0:
             raise ValueError("beta must be > 0")
 

@@ -34,7 +34,7 @@ def test_blocked_pipelines_return_marker():
         pipe = make_pipeline(name, 3, seed=0)
         g = input_point_gradient(pipe, labeled(np.zeros((4, 3))), 0)
         assert g is BLOCKED_GRADIENT
-        assert not g  # falsy marker
+        assert g is None  # the value that already means "no link"
 
 
 def test_single_point_gradient_is_half_net_gradient():
@@ -155,8 +155,9 @@ def test_graphdraw_gradient_touches_every_point():
 # ---------------------------------------------------------------------------
 # fgsm
 
-def test_fgsm_blocked_identity():
-    pipe = make_pipeline("basic", 3, seed=0)
+@pytest.mark.parametrize("name", ["basic", "zbuffer"])
+def test_fgsm_blocked_identity(name):
+    pipe = make_pipeline(name, 3, seed=0)
     cloud = labeled(synth_shape("sphere", 64, seed=5).points)
     res = fgsm(pipe, cloud, 0, epsilon=0.1)
     assert res.blocked

@@ -446,10 +446,20 @@ def test_lr_rejects_negative_epoch():
     ("lr_gamma", 0.0, "lr and lr_gamma must be > 0"),
     ("lr_gamma", -0.7, "lr and lr_gamma must be > 0"),
     ("weight_decay", -1e-4, "weight_decay must be >= 0"),
+    *[(f, v, "lr, lr_gamma and weight_decay must be finite")
+      for f in ("lr", "lr_gamma", "weight_decay")
+      for v in (float("nan"), float("inf"), -float("inf"))],
+    *[(f, v, "epochs, batch_size and lr_step must be integers")
+      for f in ("epochs", "batch_size", "lr_step") for v in (2.5, 2.0, "2")],
 ])
 def test_train_config_rejects_values_outside_its_rules(field, value, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         TrainConfig(**{field: value})
+
+
+def test_train_config_takes_numpy_integers():
+    cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), lr_step=np.uint8(1))
+    assert (cfg.epochs, cfg.batch_size, cfg.lr_step) == (2, 4, 1)
 
 
 @pytest.mark.parametrize("value", ["yes", 2, object()])

@@ -1,9 +1,10 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from cloudmap.cloud import SYNTH_KINDS, PointCloud, augment, synth_shape
+from cloudmap.net import TinyNet
 from cloudmap.pipeline import MAPPERS, PIPELINE_NAMES, Pipeline, make_pipeline
 
 
@@ -35,6 +36,22 @@ def test_table_describes_every_mapper():
 def test_unknown_name_rejected():
     with pytest.raises(ValueError, match="unknown pipeline"):
         make_pipeline("sketch", 3)
+
+
+def test_pipeline_checks_name_and_net_when_built():
+    # direct construction and dataclasses.replace check as make_pipeline does
+    with pytest.raises(ValueError, match="^unknown pipeline 'bogus'"):
+        Pipeline("bogus", TinyNet(3, 5))
+    with pytest.raises(ValueError, match="^net expects 1 channels, mapper provides 3$"):
+        Pipeline("zbuffer", TinyNet(1, 5))
+    with pytest.raises(ValueError, match="^net expects 1 channels, mapper provides 3$"):
+        make_pipeline("leaky", 5, net=TinyNet(1, 5))
+    pipe = make_pipeline("basic", 5)
+    with pytest.raises(ValueError, match="^unknown pipeline 'sketch'"):
+        replace(pipe, name="sketch")
+    with pytest.raises(ValueError, match="^net expects 1 channels, mapper provides 3$"):
+        replace(pipe, name="graphdraw")
+    assert replace(pipe, name="leaky", net=TinyNet(3, 5)).c_in == 3
 
 
 def test_sparse_input_is_the_old_scaled_average_pool():

@@ -159,6 +159,44 @@ def test_mapped_image_leak_consistency_enforced():
                     leak_map=np.array([[0, 0, 0, 0]]))
 
 
+def record_and_net_input(pipe, image):
+    record = [None if a is None else a.tobytes() for a in image.scatter]
+    return record, pipe.net_input_from_image(image).tobytes()
+
+
+@pytest.mark.parametrize("name", ["basic", "leaky", "graphdraw"])
+def test_writing_into_record_views_leaves_the_record(name):
+    # data and leak_map are views built from the record: writing into them
+    # changes neither the record nor the net input pooled from it
+    pipe = make_pipeline(name, 3, seed=0, map_seed=1)
+    image = pipe.map_image(synth_shape("torus", 96, 2))
+    before = record_and_net_input(pipe, image)
+    image.data[:] = 0.5
+    if image.leak_map is not None:
+        image.leak_map[:] = 0
+    assert record_and_net_input(pipe, image) == before
+
+
+@pytest.mark.parametrize("name", ["basic", "leaky", "graphdraw"])
+def test_assigning_record_views_leaves_the_record(name):
+    pipe = make_pipeline(name, 3, seed=0, map_seed=1)
+    image = pipe.map_image(synth_shape("torus", 96, 2))
+    before = record_and_net_input(pipe, image)
+    image.data = np.ones(image.shape)
+    image.leak_map = np.zeros((1, 4), dtype=np.int64)
+    assert record_and_net_input(pipe, image) == before
+    assert np.all(image.data == 1.0) and image.leak_map.shape == (1, 4)
+
+
+def test_dense_image_keeps_the_arrays_it_is_given():
+    data, links = np.zeros((4, 4, 3)), np.array([[1, 2, 0, 1]])
+    image = MappedImage(data, GradPath.COORDINATE_LEAK, links, "key")
+    assert image.data is data and image.leak_map is links
+    assert image.scatter is None and image.source_key == "key"
+    blocked = MappedImage(data, GradPath.BLOCKED)
+    assert blocked.data is data and blocked.leak_map is None and blocked.scatter is None
+
+
 def test_cloud_key_tracks_content():
     a = synth_shape("cube", 128, 6)
     b = a.with_points(a.points + 0.001)

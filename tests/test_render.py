@@ -24,6 +24,13 @@ def test_config_validation():
         ZBufferConfig(view="w")
 
 
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_config_rejects_non_finite_alpha_and_beta(field, value):
+    with pytest.raises(ValueError, match="^alpha and beta must be finite$"):
+        ZBufferConfig(**{field: value})
+
+
 def test_zbuffer_shape_and_path():
     img = zbuffer(synth_shape("sphere", 128, seed=0), ZBufferConfig())
     assert img.data.shape == (313, 313, 1)
