@@ -106,7 +106,7 @@ def _mapper(name: str) -> Mapper:
     return MAPPERS[name]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pipeline:
     name: str
     net: TinyNet

@@ -47,24 +47,31 @@ class MappedImage:
     detected; images without a leak_map leave it None.
 
     MappedImage(data, grad_path, leak_map, source_key) keeps the dense data
-    and leak_map it is given as they are, and its scatter is None. Sparse
-    mappers build theirs with from_scatter, which keeps only the scatter
-    record; data and leak_map are then built from the record on first read,
-    and writing into them, or assigning to them, leaves the record as it was.
+    and leak_map it is given, and its scatter is None. Sparse mappers use
+    from_scatter, which keeps only the scatter record: data and leak_map are
+    then snapshots built from it on first read, which the net input never
+    reads. Neither attribute can be reassigned.
     """
 
     def __init__(self, data: np.ndarray | tuple, grad_path: GradPath,
                  leak_map: np.ndarray | Scatter | None = None, source_key: str | None = None):
         if isinstance(leak_map, Scatter):  # from_scatter: data is the image's shape
+            if not isinstance(data, tuple):
+                raise TypeError("an image built from a Scatter takes its shape as data")
             self.shape, self.scatter, links = data, leak_map, leak_map.pts
         else:
             if data.ndim != 3:
                 raise ValueError("data must be (H, W, C)")
             self.shape, self.scatter, links = data.shape, None, leak_map
-            self.data, self.leak_map = data, leak_map
+            vars(self).update(data=data, leak_map=leak_map)
         if (links is not None and len(links) > 0) != (grad_path is GradPath.COORDINATE_LEAK):
             raise ValueError("leak_map must be non-empty iff grad_path is COORDINATE_LEAK")
         self.grad_path, self.source_key = grad_path, source_key
+
+    def __setattr__(self, name, value):
+        if name in ("data", "leak_map"):
+            raise AttributeError(f"{name} of a MappedImage is read-only")
+        super().__setattr__(name, value)
 
     @classmethod
     def from_scatter(cls, shape: tuple, grad_path: GradPath, scatter: Scatter,
@@ -88,17 +95,9 @@ class MappedImage:
         return np.column_stack([np.repeat(s.rows, c), np.repeat(s.cols, c),
                                 np.repeat(s.pts, c), np.tile(np.arange(c), len(s.pts))])
 
-    @property
-    def height(self) -> int:
-        return self.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.shape[2]
+    height = property(lambda self: self.shape[0])
+    width = property(lambda self: self.shape[1])
+    channels = property(lambda self: self.shape[2])
 
 
 def _pixel_coords(points: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -52,6 +52,12 @@ def test_pipeline_checks_name_and_net_when_built():
     with pytest.raises(ValueError, match="^net expects 1 channels, mapper provides 3$"):
         replace(pipe, name="graphdraw")
     assert replace(pipe, name="leaky", net=TinyNet(3, 5)).c_in == 3
+    # fields are frozen, so no assignment can skip the checks
+    with pytest.raises(FrozenInstanceError):
+        pipe.net = TinyNet(3, 5)
+    with pytest.raises(FrozenInstanceError):
+        pipe.name = "bogus"
+    assert pipe.name == "basic" and pipe.net.c_in == 1
 
 
 def test_sparse_input_is_the_old_scaled_average_pool():

@@ -3,7 +3,7 @@ import pytest
 
 from cloudmap.cloud import SYNTH_KINDS, PointCloud, augment, synth_shape
 from cloudmap.pipeline import PIPELINE_NAMES, make_pipeline
-from cloudmap.project import (SIZE, GradPath, MappedImage, basic_project,
+from cloudmap.project import (SIZE, GradPath, MappedImage, Scatter, basic_project,
                               basic_project_leaky, cloud_key, remap_frozen)
 from cloudmap.render import zbuffer
 
@@ -179,13 +179,40 @@ def test_writing_into_record_views_leaves_the_record(name):
 
 @pytest.mark.parametrize("name", ["basic", "leaky", "graphdraw"])
 def test_assigning_record_views_leaves_the_record(name):
+    # the views cannot be reassigned, read or not
     pipe = make_pipeline(name, 3, seed=0, map_seed=1)
     image = pipe.map_image(synth_shape("torus", 96, 2))
     before = record_and_net_input(pipe, image)
-    image.data = np.ones(image.shape)
-    image.leak_map = np.zeros((1, 4), dtype=np.int64)
+    with pytest.raises(AttributeError, match="read-only"):
+        image.data = np.ones(image.shape)
+    with pytest.raises(AttributeError, match="read-only"):
+        image.leak_map = np.zeros((1, 4), dtype=np.int64)
+    data, links = image.data, image.leak_map
+    with pytest.raises(AttributeError, match="read-only"):
+        image.data = np.ones(image.shape)
+    with pytest.raises(AttributeError, match="read-only"):
+        image.leak_map = None
+    assert image.data is data and image.leak_map is links
     assert record_and_net_input(pipe, image) == before
-    assert np.all(image.data == 1.0) and image.leak_map.shape == (1, 4)
+
+
+def test_dense_image_views_cannot_be_reassigned():
+    data = np.zeros((4, 4, 1))
+    image = MappedImage(data, GradPath.BLOCKED)
+    for name, value in [("data", np.ones((4, 4, 1))), ("leak_map", np.zeros((1, 4)))]:
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(image, name, value)
+    assert image.data is data and image.leak_map is None
+
+
+def test_scatter_record_needs_a_shape():
+    # an array passed beside a Scatter would be stored as the image's shape
+    record = Scatter(np.array([0]), np.array([1]), np.ones((1, 1)), None)
+    with pytest.raises(TypeError, match="takes its shape as data"):
+        MappedImage(np.zeros((4, 4, 1)), GradPath.BLOCKED, record)
+    image = MappedImage.from_scatter((4, 4, 1), GradPath.BLOCKED, record, None)
+    assert (image.height, image.width, image.channels) == (4, 4, 1)
+    assert image.data[0, 1, 0] == 1.0 and image.data.sum() == 1.0
 
 
 def test_dense_image_keeps_the_arrays_it_is_given():

@@ -7,11 +7,10 @@ function or method parameter, or a class-body annotated assignment (a
 dataclass field default), except a `ClassVar` and a
 `field(default_factory=...)`. Standard library only; run from anywhere:
 
-    python tools/design_counts.py [PACKAGE_DIR]
+    python tools/design_counts.py
 """
 
 import ast
-import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cloudmap"
@@ -42,9 +41,8 @@ def settable_values(tree: ast.Module) -> int:
     return count
 
 
-def main(argv: list[str]) -> None:
-    package = Path(argv[1]) if len(argv) > 1 else PACKAGE
-    files = sorted(package.glob("*.py"))
+def main() -> None:
+    files = sorted(PACKAGE.glob("*.py"))
     sources = [f.read_bytes() for f in files]
     lines = sum(s.count(b"\n") for s in sources)
     settable = sum(settable_values(ast.parse(s, filename=str(f)))
@@ -54,4 +52,4 @@ def main(argv: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    main()
