@@ -4,9 +4,9 @@ before any command writes anything. A run is deterministic given its seed
 and a fixed BLAS thread count: TinyNet's matmuls add in an order that
 follows the thread split (ROADMAP.md, item 7).
 
-Config is a JSON file plus flag overrides. DEFAULT_CONFIG is the schema:
-each key's default, whose type a value must have; unknown keys are
-ignored. All outputs land under the config's out directory.
+Config is a JSON file plus flag overrides. DEFAULT_CONFIG is the whole
+schema: each key's default, whose type a value must have; a key it does
+not list is an error. All outputs land under the config's out directory.
 """
 
 import argparse
@@ -27,7 +27,7 @@ from .net import (TrainConfig, evaluate, load_checkpoint, save_checkpoint,
 from .pipeline import PIPELINE_NAMES, make_pipeline
 
 # the train keys whose defaults and rules are TrainConfig's
-_TRAIN_KEYS = ("epochs", "lr", "lr_step", "lr_gamma", "batch_size", "weight_decay")
+_TRAIN_KEYS = ("epochs", "lr", "batch_size")
 
 # dataset.path and dataset.test_fraction are read by off_dir datasets only
 DEFAULT_CONFIG = {
@@ -86,6 +86,8 @@ def _has_type(val, default) -> bool:
 
 
 def _check_types(cfg: dict, schema: dict, where: str) -> None:
+    if unknown := [where + name for name in cfg if name not in schema]:
+        raise ValueError(f"unknown config keys {unknown}")
     for name, default in schema.items():
         if isinstance(default, dict):
             _check_types(cfg[name], default, f"{where}{name}.")

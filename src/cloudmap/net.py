@@ -1,6 +1,6 @@
 """Small convolutional classifier in plain numpy with hand-written
-backpropagation, Adam with decoupled weight decay, a step learning-rate
-schedule, a training loop over mapped point clouds, and accuracy metrics.
+backpropagation, Adam with decoupled weight decay WEIGHT_DECAY, the step
+schedule LR_STEP and LR_GAMMA, a training loop, and accuracy metrics.
 
 Layout is channels-last (H, W, C); conv weights are (C_in, 3, 3, C_out).
 Each convolution and its weight and input gradients are plain matmuls
@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from functools import reduce
 
@@ -26,6 +27,7 @@ from .cloud import augment
 HIDDEN = 16
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+LR_STEP, LR_GAMMA, WEIGHT_DECAY = 20, 0.7, 0.0001
 PARAM_ORDER = ("conv1_w", "conv1_b", "conv2_w", "conv2_b",
                "conv3_w", "conv3_b", "fc_w", "fc_b")
 
@@ -34,9 +36,6 @@ PARAM_ORDER = ("conv1_w", "conv1_b", "conv2_w", "conv2_b",
 class TrainConfig:
     epochs: int = 40
     lr: float = 0.001
-    lr_step: int = 20
-    lr_gamma: float = 0.7
-    weight_decay: float = 0.0001
     batch_size: int = 16
     seed: int = 0
     augment_cfg: bool = False  # re-augment every sample each epoch; None = off
@@ -45,23 +44,22 @@ class TrainConfig:
         if not isinstance(self.augment_cfg, (bool, type(None))):
             raise ValueError(f"augment_cfg must be None, False or True, got {self.augment_cfg!r}")
         self.augment_cfg = bool(self.augment_cfg)
-        if not all(isinstance(v, numbers.Integral)
-                   for v in (self.epochs, self.batch_size, self.lr_step)):
-            raise ValueError("epochs, batch_size and lr_step must be integers")
-        if not all(math.isfinite(v) for v in (self.lr, self.lr_gamma, self.weight_decay)):
-            raise ValueError("lr, lr_gamma and weight_decay must be finite")
-        if self.epochs < 1 or self.batch_size < 1 or self.lr_step < 1:
-            raise ValueError("epochs, batch_size and lr_step must be >= 1")
-        if self.lr <= 0 or self.lr_gamma <= 0:
-            raise ValueError("lr and lr_gamma must be > 0")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not all(isinstance(v, numbers.Integral) for v in (self.epochs, self.batch_size)):
+            raise ValueError("epochs and batch_size must be integers")
+        if not math.isfinite(self.lr):
+            raise ValueError("lr must be finite")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
+        if self.lr <= 0:
+            raise ValueError("lr must be > 0")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    return cfg.lr * cfg.lr_gamma ** (epoch // cfg.lr_step)
+    return cfg.lr * LR_GAMMA ** (epoch // LR_STEP)
 
 
 class TinyNet:
@@ -232,10 +230,8 @@ def init_adam_state(net: TinyNet) -> dict:
             for name, p in net.params.items()}
 
 
-def adam_step(params: dict, grads: dict, state: dict, cfg: TrainConfig,
-              t: int, lr: float) -> None:
-    """In-place Adam update with bias correction; weight decay is applied
-    decoupled from the moment estimates."""
+def adam_step(params: dict, grads: dict, state: dict, t: int, lr: float) -> None:
+    """In-place Adam update with bias correction and decoupled WEIGHT_DECAY."""
     if t < 1:
         raise ValueError("t must be >= 1")
     b1, b2 = ADAM_BETAS
@@ -248,7 +244,7 @@ def adam_step(params: dict, grads: dict, state: dict, cfg: TrainConfig,
         v += (1.0 - b2) * g * g
         mhat = m / (1.0 - b1 ** t)
         vhat = v / (1.0 - b2 ** t)
-        p -= lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + cfg.weight_decay * p)
+        p -= lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + WEIGHT_DECAY * p)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +303,7 @@ def train(pipeline, dataset: list, cfg: TrainConfig):
             for name in acc:
                 acc[name] /= len(batch)
             t += 1
-            adam_step(net.params, acc, state, cfg, t, lr=lr)
+            adam_step(net.params, acc, state, t, lr=lr)
         mean_loss = float(np.mean(losses))
         if not np.isfinite(mean_loss):
             raise RuntimeError(f"loss diverged at epoch {epoch}")
@@ -378,6 +374,9 @@ def load_checkpoint(stem: str) -> TinyNet:
     if ends[-1] != len(flat):
         raise ValueError(f"checkpoint {stem}.bin holds {len(flat)} values, "
                          f"its manifest needs {ends[-1]}")
+    extra = os.path.getsize(stem + ".bin") - flat.nbytes
+    if extra:
+        raise ValueError(f"checkpoint {stem}.bin ends in {extra} bytes that are not a whole value")
     for name, part in zip(PARAM_ORDER, np.split(flat, ends[:-1])):
         net.params[name] = part.reshape(net.params[name].shape)
     return net

@@ -8,6 +8,7 @@ graph-drawing image carry raw coordinates in their intensities
 """
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -124,6 +125,8 @@ class Pipeline:
         c_in = _mapper(self.name).c_in
         if self.net.c_in != c_in:
             raise ValueError(f"net expects {self.net.c_in} channels, mapper provides {c_in}")
+        if not isinstance(self.map_seed, numbers.Integral) or self.map_seed < 0:
+            raise ValueError(f"map_seed must be an integer >= 0, got {self.map_seed!r}")
 
     def map_image(self, cloud: PointCloud) -> MappedImage:
         return MAPPERS[self.name].map(self, cloud)

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from cloudmap import net as net_module
 from cloudmap.cloud import SYNTH_KINDS, PointCloud, augment, synth_shape
-from cloudmap.net import (TinyNet, TrainConfig, _pool_relu, _pool_relu_back,
-                          adam_step, evaluate, forward, init_adam_state,
-                          load_checkpoint, loss_and_grad, lr_at, predict,
-                          save_checkpoint, train, write_loss_history)
+from cloudmap.net import (LR_GAMMA, LR_STEP, WEIGHT_DECAY, TinyNet, TrainConfig,
+                          _pool_relu, _pool_relu_back, adam_step, evaluate,
+                          forward, init_adam_state, load_checkpoint, loss_and_grad,
+                          lr_at, predict, save_checkpoint, train, write_loss_history)
 from cloudmap.pipeline import _window_sum, make_pipeline
 
 import tinynet_oracle
@@ -303,7 +303,7 @@ def reference_train(pipeline, dataset, cfg):
             for name in acc:
                 acc[name] /= len(batch)
             t += 1
-            adam_step(net.params, acc, state, cfg, t, lr=lr_at(epoch, cfg))
+            adam_step(net.params, acc, state, t, lr=lr_at(epoch, cfg))
         history.append(float(np.mean(losses)))
     return history
 
@@ -358,25 +358,25 @@ def test_loss_and_grad_results_survive_a_second_call():
 # ---------------------------------------------------------------------------
 # adam
 
-def test_adam_zero_grad_no_motion():
+def test_adam_zero_grad_moves_only_by_weight_decay():
     net = TinyNet(1, 3, seed=11)
-    cfg = TrainConfig(weight_decay=0.0)
+    cfg = TrainConfig()
     state = init_adam_state(net)
     before = {k: v.copy() for k, v in net.params.items()}
     zeros = {k: np.zeros_like(v) for k, v in net.params.items()}
-    adam_step(net.params, zeros, state, cfg, t=1, lr=cfg.lr)
-    for k in before:
-        assert np.array_equal(net.params[k], before[k])
+    adam_step(net.params, zeros, state, t=1, lr=cfg.lr)
+    for k, p in before.items():
+        assert np.array_equal(net.params[k], p - cfg.lr * (0.0 + WEIGHT_DECAY * p))
 
 
 def test_adam_constant_gradient_step_size():
-    cfg = TrainConfig(lr=0.01, weight_decay=0.0)
+    cfg = TrainConfig(lr=0.01)
     params = {"w": np.array([1.0])}
     grads = {"w": np.array([0.37])}
     state = {"w": (np.zeros(1), np.zeros(1))}
     prev = params["w"].copy()
     for t in range(1, 301):
-        adam_step(params, grads, state, cfg, t, lr=cfg.lr)
+        adam_step(params, grads, state, t, lr=cfg.lr)
         step = abs(params["w"][0] - prev[0])
         prev = params["w"].copy()
     # with constant gradient, mhat/sqrt(vhat) -> 1, so |step| -> lr
@@ -393,7 +393,7 @@ def test_adam_deterministic():
         img = rng.random((8, 8, 1))
         for t in range(1, 6):
             _, grads, _ = loss_and_grad(net, img, 0)
-            adam_step(net.params, grads, state, cfg, t, lr=cfg.lr)
+            adam_step(net.params, grads, state, t, lr=cfg.lr)
         runs.append({k: v.copy() for k, v in net.params.items()})
     for k in runs[0]:
         assert np.array_equal(runs[0][k], runs[1][k])
@@ -404,31 +404,25 @@ def test_adam_rejects_t_zero():
     zeros = {k: np.zeros_like(v) for k, v in net.params.items()}
     cfg = TrainConfig()
     with pytest.raises(ValueError):
-        adam_step(net.params, zeros, init_adam_state(net), cfg, t=0, lr=cfg.lr)
+        adam_step(net.params, zeros, init_adam_state(net), t=0, lr=cfg.lr)
 
 
 def test_weight_decay_shrinks_without_gradient():
-    cfg = TrainConfig(lr=0.1, weight_decay=0.5)
     params = {"w": np.array([2.0])}
     state = {"w": (np.zeros(1), np.zeros(1))}
-    adam_step(params, {"w": np.zeros(1)}, state, cfg, t=1, lr=cfg.lr)
-    assert np.allclose(params["w"], 2.0 - 0.1 * 0.5 * 2.0)
+    adam_step(params, {"w": np.zeros(1)}, state, t=1, lr=0.1)
+    assert params["w"][0] == 2.0 - 0.1 * (0.0 + WEIGHT_DECAY * 2.0) < 2.0
 
 
 # ---------------------------------------------------------------------------
 # lr schedule
 
 def test_lr_schedule_boundaries():
-    cfg = TrainConfig(lr=0.001, lr_step=20, lr_gamma=0.7)
+    cfg = TrainConfig(lr=0.001)
     assert lr_at(0, cfg) == 0.001
-    assert lr_at(19, cfg) == 0.001
-    assert lr_at(20, cfg) == pytest.approx(0.0007)
-    assert lr_at(40, cfg) == pytest.approx(0.001 * 0.49)
-
-
-def test_lr_gamma_one_constant():
-    cfg = TrainConfig(lr_gamma=1.0)
-    assert all(lr_at(e, cfg) == cfg.lr for e in (0, 19, 20, 100))
+    assert lr_at(LR_STEP - 1, cfg) == 0.001
+    assert lr_at(LR_STEP, cfg) == pytest.approx(0.001 * LR_GAMMA)
+    assert lr_at(2 * LR_STEP, cfg) == pytest.approx(0.001 * LR_GAMMA ** 2)
 
 
 def test_lr_rejects_negative_epoch():
@@ -437,20 +431,15 @@ def test_lr_rejects_negative_epoch():
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("epochs", 0, "epochs, batch_size and lr_step must be >= 1"),
-    ("batch_size", 0, "epochs, batch_size and lr_step must be >= 1"),
-    ("lr_step", 0, "epochs, batch_size and lr_step must be >= 1"),
-    ("lr_step", -3, "epochs, batch_size and lr_step must be >= 1"),
-    ("lr", 0, "lr and lr_gamma must be > 0"),
-    ("lr", -0.01, "lr and lr_gamma must be > 0"),
-    ("lr_gamma", 0.0, "lr and lr_gamma must be > 0"),
-    ("lr_gamma", -0.7, "lr and lr_gamma must be > 0"),
-    ("weight_decay", -1e-4, "weight_decay must be >= 0"),
-    *[(f, v, "lr, lr_gamma and weight_decay must be finite")
-      for f in ("lr", "lr_gamma", "weight_decay")
-      for v in (float("nan"), float("inf"), -float("inf"))],
-    *[(f, v, "epochs, batch_size and lr_step must be integers")
-      for f in ("epochs", "batch_size", "lr_step") for v in (2.5, 2.0, "2")],
+    ("epochs", 0, "epochs and batch_size must be >= 1"),
+    ("batch_size", 0, "epochs and batch_size must be >= 1"),
+    ("lr", 0, "lr must be > 0"),
+    ("lr", -0.01, "lr must be > 0"),
+    *[("lr", v, "lr must be finite") for v in (float("nan"), float("inf"), -float("inf"))],
+    *[(f, v, "epochs and batch_size must be integers")
+      for f in ("epochs", "batch_size") for v in (2.5, 2.0, "2")],
+    *[("seed", v, f"seed must be an integer >= 0, got {v!r}")
+      for v in (-1, 1.5, "0", None)],
 ])
 def test_train_config_rejects_values_outside_its_rules(field, value, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -458,8 +447,8 @@ def test_train_config_rejects_values_outside_its_rules(field, value, message):
 
 
 def test_train_config_takes_numpy_integers():
-    cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), lr_step=np.uint8(1))
-    assert (cfg.epochs, cfg.batch_size, cfg.lr_step) == (2, 4, 1)
+    cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), seed=np.uint8(1))
+    assert (cfg.epochs, cfg.batch_size, cfg.seed) == (2, 4, 1)
 
 
 @pytest.mark.parametrize("value", ["yes", 2, object()])
@@ -651,6 +640,18 @@ def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(18)
     img = rng.random((16, 16, 3))
     assert np.array_equal(forward(net, img), forward(loaded, img))
+
+
+def test_checkpoint_with_bytes_past_its_last_value_rejected(tmp_path):
+    # np.fromfile drops a partial trailing value, so the value count alone
+    # would pass
+    stem = str(tmp_path / "ckpt")
+    save_checkpoint(TinyNet(1, 2, seed=0), stem)
+    with open(stem + ".bin", "ab") as fh:
+        fh.write(b"\x01\x02\x03")
+    message = f"checkpoint {stem}.bin ends in 3 bytes that are not a whole value"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(stem)
 
 
 def test_checkpoint_missing_file(tmp_path):

@@ -60,6 +60,17 @@ def test_pipeline_checks_name_and_net_when_built():
     assert pipe.name == "basic" and pipe.net.c_in == 1
 
 
+@pytest.mark.parametrize("map_seed", [-1, 1.5, "0", None])
+def test_pipeline_rejects_a_map_seed_that_is_not_a_non_negative_integer(map_seed):
+    # checked when built, not at the first map's default_rng
+    message = f"^map_seed must be an integer >= 0, got {map_seed!r}$"
+    with pytest.raises(ValueError, match=message):
+        make_pipeline("graphdraw", 5, map_seed=map_seed)
+    with pytest.raises(ValueError, match=message):
+        replace(make_pipeline("basic", 5), map_seed=map_seed)
+    assert make_pipeline("graphdraw", 5, map_seed=np.int64(3)).map_seed == 3
+
+
 def test_sparse_input_is_the_old_scaled_average_pool():
     # the net once read x * f^2 average-pooled by f, and zbuffer's
     # conditioned image average-pooled by f; the pipeline's inputs must be
