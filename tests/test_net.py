@@ -369,6 +369,19 @@ def test_adam_zero_grad_moves_only_by_weight_decay():
         assert np.array_equal(net.params[k], p - cfg.lr * (0.0 + WEIGHT_DECAY * p))
 
 
+def test_adam_zero_grad_no_motion(monkeypatch):
+    # with no weight decay a zero gradient leaves every parameter in place
+    monkeypatch.setattr(net_module, "WEIGHT_DECAY", 0.0)
+    net = TinyNet(1, 3, seed=11)
+    cfg = TrainConfig()
+    state = init_adam_state(net)
+    before = {k: v.copy() for k, v in net.params.items()}
+    zeros = {k: np.zeros_like(v) for k, v in net.params.items()}
+    adam_step(net.params, zeros, state, t=1, lr=cfg.lr)
+    for k in before:
+        assert np.array_equal(net.params[k], before[k])
+
+
 def test_adam_constant_gradient_step_size():
     cfg = TrainConfig(lr=0.01)
     params = {"w": np.array([1.0])}
@@ -423,6 +436,13 @@ def test_lr_schedule_boundaries():
     assert lr_at(LR_STEP - 1, cfg) == 0.001
     assert lr_at(LR_STEP, cfg) == pytest.approx(0.001 * LR_GAMMA)
     assert lr_at(2 * LR_STEP, cfg) == pytest.approx(0.001 * LR_GAMMA ** 2)
+
+
+def test_lr_gamma_one_constant(monkeypatch):
+    # lr_at reads the schedule constants when called
+    monkeypatch.setattr(net_module, "LR_GAMMA", 1.0)
+    cfg = TrainConfig()
+    assert all(lr_at(e, cfg) == cfg.lr for e in (0, LR_STEP - 1, LR_STEP, 100))
 
 
 def test_lr_rejects_negative_epoch():
