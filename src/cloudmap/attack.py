@@ -20,7 +20,7 @@ from .project import GradPath, MappedImage, cloud_key
 BLOCKED_GRADIENT = None  # a blocked image's gradient: there is no link to follow
 
 
-def _check_epsilon(epsilon) -> None:
+def check_epsilon(epsilon) -> None:
     if not (np.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
 
@@ -62,7 +62,7 @@ def fgsm(pipeline: Pipeline, cloud: PointCloud, label: int,
     """x' = x + epsilon * sign(grad), one step. A blocked pipeline returns
     the input unchanged with the blocked flag set. epsilon must be finite
     and >= 0."""
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     grad = input_point_gradient(pipeline, cloud, label)
     if grad is None:
         return FGSMResult(cloud, True, 0.0)
@@ -117,7 +117,7 @@ def attack_suite(pipeline: Pipeline, testset: list,
     moved cloud is mapped and classified again (same mapper seed). All of
     it runs on conv buffers kept for the whole call, and each outcome
     equals that of predict, fgsm and predict in turn."""
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     net = pipeline.net
     check_labeled(testset, net.num_classes)
     scratch = _scratch()

@@ -17,14 +17,14 @@ import math
 import os
 import sys
 
-from .attack import attack_suite
+from .attack import attack_suite, check_epsilon
 from .cloud import (SYNTH_KINDS, load_off, normalize_unit, read_xyz,
                     sample_surface, synth_shape, write_xyz)
 from .graphdraw import check_cloud_size
 from .imagefile import write_pgm, write_ppm
 from .net import (TrainConfig, evaluate, load_checkpoint, save_checkpoint,
                   train, write_loss_history)
-from .pipeline import PIPELINE_NAMES, make_pipeline
+from .pipeline import PIPELINE_NAMES, Pipeline, make_pipeline
 
 # the train keys whose defaults and rules are TrainConfig's
 _TRAIN_KEYS = ("epochs", "lr", "batch_size")
@@ -131,8 +131,7 @@ def validate_config(cfg: dict) -> None:
     if cfg["pipeline"] == "graphdraw":
         check_cloud_size(ds["points"])
     train_config(cfg)  # TrainConfig checks the train values
-    if cfg["epsilon"] < 0:
-        raise ValueError("epsilon must be >= 0")
+    check_epsilon(cfg["epsilon"])
 
 
 def train_config(cfg: dict) -> TrainConfig:
@@ -243,8 +242,7 @@ def _load_pipeline(cfg: dict):
     if net.num_classes != num_classes:
         raise ValueError(f"checkpoint has {net.num_classes} classes, "
                          f"the class list has {num_classes}")
-    return make_pipeline(cfg["pipeline"], num_classes, seed=cfg["seed"],
-                         net=net, map_seed=cfg["seed"])
+    return Pipeline(cfg["pipeline"], net, cfg["seed"])
 
 
 def cmd_eval(cfg: dict) -> None:

@@ -5,6 +5,7 @@ All randomized operations take an explicit seed and are pure functions of
 (inputs, seed); arrays are treated as immutable after construction.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,6 +66,14 @@ class PointCloud:
 
     def with_points(self, points: np.ndarray) -> "PointCloud":
         return PointCloud(points, self.label)
+
+
+def check_int(name: str, value, low: int) -> int:
+    """The one rule for a count or integer seed: an Integral >= low, never a
+    bool. Returns it as a Python int, whose arithmetic cannot overflow."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def load_off(path) -> Mesh:
@@ -151,8 +160,7 @@ def sample_surface(mesh: Mesh, n: int, seed: int) -> PointCloud:
     Faces are chosen with probability proportional to area; points are drawn
     uniformly inside each chosen triangle.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_int("n", n, 1)
     areas = mesh.face_areas()
     total = areas.sum()
     if total <= 0.0:
@@ -304,8 +312,7 @@ def synth_shape(kind: str, n: int, seed: int) -> PointCloud:
     """
     if kind not in _SAMPLERS:
         raise ValueError(f"unknown shape kind {kind!r}; expected one of {SYNTH_KINDS}")
-    if n < 64:
-        raise ValueError("n must be >= 64")
+    n = check_int("n", n, 64)
     pts = _SAMPLERS[kind](np.random.default_rng(seed), n)
     pts = pts / np.linalg.norm(pts, axis=1).max()
     return PointCloud(pts, label=SYNTH_KINDS.index(kind))

@@ -22,7 +22,7 @@ from functools import reduce
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cloud import augment
+from .cloud import augment, check_int
 
 HIDDEN = 16
 ADAM_BETAS = (0.9, 0.999)
@@ -44,16 +44,15 @@ class TrainConfig:
         if not isinstance(self.augment_cfg, (bool, type(None))):
             raise ValueError(f"augment_cfg must be None, False or True, got {self.augment_cfg!r}")
         self.augment_cfg = bool(self.augment_cfg)
-        if not all(isinstance(v, numbers.Integral) for v in (self.epochs, self.batch_size)):
-            raise ValueError("epochs and batch_size must be integers")
+        check_int("epochs", self.epochs, 1)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("seed", self.seed, 0)
+        if isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real):
+            raise ValueError(f"lr must be a number, got {self.lr!r}")
         if not math.isfinite(self.lr):
             raise ValueError("lr must be finite")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -67,8 +66,9 @@ class TinyNet:
     max pooling commutes with the monotone ReLU, so the order is free."""
 
     def __init__(self, c_in: int, num_classes: int, seed: int = 0):
-        self.c_in = c_in
-        self.num_classes = num_classes
+        self.c_in = c_in = check_int("c_in", c_in, 1)
+        self.num_classes = num_classes = check_int("num_classes", num_classes, 1)
+        check_int("seed", seed, 0)
         rng = np.random.default_rng([seed, 90])
         def conv_init(ci, co):
             return rng.normal(0.0, np.sqrt(2.0 / (ci * 9)), (ci, 3, 3, co))
@@ -360,9 +360,7 @@ def load_checkpoint(stem: str) -> TinyNet:
     if not isinstance(manifest, dict) or not isinstance(manifest.get("params"), dict):
         raise ValueError(f"checkpoint {stem}.json must be an object with a params object")
     for key in ("c_in", "num_classes"):
-        if type(manifest.get(key)) is not int or manifest[key] < 1:
-            raise ValueError(f"checkpoint {stem}.json: {key} must be an integer >= 1, "
-                             f"got {manifest.get(key)!r}")
+        check_int(f"checkpoint {stem}.json: {key}", manifest.get(key), 1)
     net = TinyNet(manifest["c_in"], manifest["num_classes"])
     for name in PARAM_ORDER:
         got, shape = manifest["params"].get(name), list(net.params[name].shape)

@@ -8,13 +8,12 @@ graph-drawing image carry raw coordinates in their intensities
 """
 
 import functools
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, check_int
 from .graphdraw import GRID, map_graphdraw
 from .net import TinyNet
 from .project import SIZE, GradPath, MappedImage, basic_project, basic_project_leaky, encode_slope
@@ -125,8 +124,7 @@ class Pipeline:
         c_in = _mapper(self.name).c_in
         if self.net.c_in != c_in:
             raise ValueError(f"net expects {self.net.c_in} channels, mapper provides {c_in}")
-        if not isinstance(self.map_seed, numbers.Integral) or self.map_seed < 0:
-            raise ValueError(f"map_seed must be an integer >= 0, got {self.map_seed!r}")
+        check_int("map_seed", self.map_seed, 0)
 
     def map_image(self, cloud: PointCloud) -> MappedImage:
         return MAPPERS[self.name].map(self, cloud)
@@ -161,8 +159,5 @@ class Pipeline:
         return grad
 
 
-def make_pipeline(name: str, num_classes: int, seed: int = 0,
-                  net: TinyNet | None = None, map_seed: int = 0) -> Pipeline:
-    if net is None:
-        net = TinyNet(_mapper(name).c_in, num_classes, seed=seed)
-    return Pipeline(name=name, net=net, map_seed=map_seed)
+def make_pipeline(name: str, num_classes: int, seed: int = 0, map_seed: int = 0) -> Pipeline:
+    return Pipeline(name, TinyNet(_mapper(name).c_in, num_classes, seed=seed), map_seed)

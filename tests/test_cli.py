@@ -164,7 +164,7 @@ def test_repeated_synthetic_kinds_are_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["dataset", "train"])
 @pytest.mark.parametrize("updates, message", [
-    ({"train": {"epochs": 0}}, "epochs and batch_size must be >= 1"),
+    ({"train": {"epochs": 0}}, "epochs must be an integer >= 1, got 0"),
     ({"train": {"lr_step": 0}}, "unknown config keys ['train.lr_step']"),
     ({"train": {"lr_step": -3}}, "unknown config keys ['train.lr_step']"),
     ({"dataset": {"classes": []}}, "dataset.classes must name at least one shape kind"),
@@ -181,6 +181,7 @@ def test_repeated_synthetic_kinds_are_a_config_error(tmp_path, capsys):
     ({"dataset": 5}, "dataset must be an object, got 5"),
     ({"train": [1]}, "train must be an object, got [1]"),
     ({"epsilon": float("nan")}, "epsilon must be finite, got nan"),
+    ({"epsilon": -0.1}, "epsilon must be finite and >= 0, got -0.1"),
     ({"train": {"lr": float("nan")}}, "train.lr must be finite, got nan"),
     ({"train": {"weight_decay": float("inf")}}, "unknown config keys ['train.weight_decay']"),
 ])

@@ -174,6 +174,16 @@ def test_synth_shape_deterministic():
     assert np.array_equal(a.points, b.points)
 
 
+@pytest.mark.parametrize("kind", SYNTH_KINDS)
+def test_synth_shape_count_may_be_a_small_numpy_integer(kind):
+    # the torus sampler doubles the count it still needs, which overflowed
+    # a uint8 count and drew other points
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = synth_shape(kind, np.uint8(200), seed=11)
+    assert np.array_equal(a.points, synth_shape(kind, 200, seed=11).points)
+
+
 def test_augment_keeps_count_and_label():
     cloud = synth_shape("sphere", 128, seed=0)
     out = augment(cloud, 4)

@@ -451,18 +451,18 @@ def test_lr_rejects_negative_epoch():
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("epochs", 0, "epochs and batch_size must be >= 1"),
-    ("batch_size", 0, "epochs and batch_size must be >= 1"),
     ("lr", 0, "lr must be > 0"),
     ("lr", -0.01, "lr must be > 0"),
     *[("lr", v, "lr must be finite") for v in (float("nan"), float("inf"), -float("inf"))],
-    *[(f, v, "epochs and batch_size must be integers")
-      for f in ("epochs", "batch_size") for v in (2.5, 2.0, "2")],
+    *[("lr", v, f"lr must be a number, got {v!r}")
+      for v in (True, np.bool_(True), "0.1", None)],
+    *[(f, v, f"{f} must be an integer >= 1, got {v!r}")
+      for f in ("epochs", "batch_size") for v in (0, 2.5, 2.0, "2", True, np.bool_(True))],
     *[("seed", v, f"seed must be an integer >= 0, got {v!r}")
-      for v in (-1, 1.5, "0", None)],
+      for v in (-1, 1.5, "0", None, True, np.bool_(True))],
 ])
 def test_train_config_rejects_values_outside_its_rules(field, value, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         TrainConfig(**{field: value})
 
 
@@ -662,6 +662,15 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(forward(net, img), forward(loaded, img))
 
 
+def test_checkpoint_of_a_net_built_from_numpy_integers(tmp_path):
+    # TinyNet keeps its sizes as Python ints, which the JSON manifest takes
+    stem = str(tmp_path / "ckpt")
+    save_checkpoint(TinyNet(np.int64(3), np.uint8(5), seed=np.int32(18)), stem)
+    loaded = load_checkpoint(stem)
+    assert (loaded.c_in, loaded.num_classes) == (3, 5)
+    assert np.array_equal(loaded.params["fc_w"], TinyNet(3, 5, seed=18).params["fc_w"])
+
+
 def test_checkpoint_with_bytes_past_its_last_value_rejected(tmp_path):
     # np.fromfile drops a partial trailing value, so the value count alone
     # would pass
@@ -698,10 +707,11 @@ def test_checkpoint_of_the_wrong_length_rejected(tmp_path, change):
     (lambda m: m.update(c_in=3), "params.conv1_w"),  # shapes say 1 channel
     (lambda m: m.update(c_in=0), "c_in"),
     (lambda m: m.update(num_classes=2.0), "num_classes"),
+    (lambda m: m.update(c_in=True), "c_in"),
     (lambda m: m.pop("c_in"), "c_in"),
     (lambda m: m.pop("params"), "params"),
 ], ids=["fc_b-missing", "conv2_w-shape", "num_classes-vs-shapes", "c_in-vs-shapes",
-        "c_in-0", "num_classes-float", "c_in-missing", "params-missing"])
+        "c_in-0", "num_classes-float", "c_in-true", "c_in-missing", "params-missing"])
 def test_checkpoint_manifest_must_match_the_net(tmp_path, edit, key):
     stem = str(tmp_path / "ckpt")
     save_checkpoint(TinyNet(1, 2, seed=0), stem)

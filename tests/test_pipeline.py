@@ -1,9 +1,10 @@
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
-from cloudmap.cloud import SYNTH_KINDS, PointCloud, augment, synth_shape
+from cloudmap.cloud import SYNTH_KINDS, Mesh, PointCloud, augment, sample_surface, synth_shape
 from cloudmap.net import TinyNet
 from cloudmap.pipeline import MAPPERS, PIPELINE_NAMES, Pipeline, make_pipeline
 
@@ -45,7 +46,7 @@ def test_pipeline_checks_name_and_net_when_built():
     with pytest.raises(ValueError, match="^net expects 1 channels, mapper provides 3$"):
         Pipeline("zbuffer", TinyNet(1, 5))
     with pytest.raises(ValueError, match="^net expects 1 channels, mapper provides 3$"):
-        make_pipeline("leaky", 5, net=TinyNet(1, 5))
+        Pipeline("leaky", TinyNet(1, 5))
     pipe = make_pipeline("basic", 5)
     with pytest.raises(ValueError, match="^unknown pipeline 'sketch'"):
         replace(pipe, name="sketch")
@@ -60,15 +61,37 @@ def test_pipeline_checks_name_and_net_when_built():
     assert pipe.name == "basic" and pipe.net.c_in == 1
 
 
-@pytest.mark.parametrize("map_seed", [-1, 1.5, "0", None])
+@pytest.mark.parametrize("map_seed", [-1, 1.5, "0", None, True, np.bool_(True)])
 def test_pipeline_rejects_a_map_seed_that_is_not_a_non_negative_integer(map_seed):
     # checked when built, not at the first map's default_rng
-    message = f"^map_seed must be an integer >= 0, got {map_seed!r}$"
+    message = f"^{re.escape(f'map_seed must be an integer >= 0, got {map_seed!r}')}$"
     with pytest.raises(ValueError, match=message):
         make_pipeline("graphdraw", 5, map_seed=map_seed)
     with pytest.raises(ValueError, match=message):
         replace(make_pipeline("basic", 5), map_seed=map_seed)
     assert make_pipeline("graphdraw", 5, map_seed=np.int64(3)).map_seed == 3
+
+
+TRIANGLE = Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+
+
+@pytest.mark.parametrize("name, low, build", [
+    ("c_in", 1, lambda v: TinyNet(v, 5)),
+    ("num_classes", 1, lambda v: TinyNet(3, v)),
+    ("seed", 0, lambda v: TinyNet(3, 5, seed=v)),
+    ("seed", 0, lambda v: make_pipeline("leaky", 5, seed=v)),
+    ("n", 1, lambda v: sample_surface(TRIANGLE, v, seed=0)),
+    ("n", 64, lambda v: synth_shape("sphere", v, seed=0)),
+], ids=["TinyNet-c_in", "TinyNet-num_classes", "TinyNet-seed", "make_pipeline-seed",
+        "sample_surface-n", "synth_shape-n"])
+def test_counts_and_seeds_follow_the_one_integer_rule(name, low, build):
+    # cloud.check_int: a bool is an Integral to Python but never a count here
+    for bad in (True, np.bool_(True), low - 1, 1.5, "0", None):
+        message = f"{name} must be an integer >= {low}, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(bad)
+    build(np.int64(low + 1))
+    build(np.uint8(low))
 
 
 def test_sparse_input_is_the_old_scaled_average_pool():
