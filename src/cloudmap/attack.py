@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, check_real
 from .net import _forward_cached, _loss_and_grads, _scratch, check_labeled, loss_and_grad
 from .pipeline import Pipeline
 from .project import GradPath, MappedImage, cloud_key
@@ -21,7 +21,7 @@ BLOCKED_GRADIENT = None  # a blocked image's gradient: there is no link to follo
 
 
 def check_epsilon(epsilon) -> None:
-    if not (np.isfinite(epsilon) and epsilon >= 0.0):
+    if check_real("epsilon", epsilon) < 0.0:
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
 
 

@@ -13,12 +13,11 @@ import argparse
 import copy
 import csv
 import json
-import math
 import os
 import sys
 
 from .attack import attack_suite, check_epsilon
-from .cloud import (SYNTH_KINDS, load_off, normalize_unit, read_xyz,
+from .cloud import (SYNTH_KINDS, check_real, load_off, normalize_unit, read_xyz,
                     sample_surface, synth_shape, write_xyz)
 from .graphdraw import check_cloud_size
 from .imagefile import write_pgm, write_ppm
@@ -73,16 +72,14 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
-               str: "a string", list: "a list of strings"}
+_TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string", list: "a list of strings"}
 
 
 def _has_type(val, default) -> bool:
     if isinstance(default, list):
         return isinstance(val, list) and all(isinstance(k, str) for k in val)
-    # bool is an int subclass, but neither a count nor a number here
-    return (isinstance(val, bool) == isinstance(default, bool)
-            and isinstance(val, (int, float) if isinstance(default, float) else type(default)))
+    # bool is an int subclass, but not a count here
+    return isinstance(val, bool) == isinstance(default, bool) and isinstance(val, type(default))
 
 
 def _check_types(cfg: dict, schema: dict, where: str) -> None:
@@ -91,12 +88,12 @@ def _check_types(cfg: dict, schema: dict, where: str) -> None:
     for name, default in schema.items():
         if isinstance(default, dict):
             _check_types(cfg[name], default, f"{where}{name}.")
+        elif isinstance(default, float):
+            # json reads NaN and Infinity, which every range check lets through
+            check_real(where + name, cfg[name])
         elif not _has_type(cfg[name], default):
             raise ValueError(f"{where}{name} must be {_TYPE_NAMES[type(default)]}, "
                              f"got {cfg[name]!r}")
-        elif isinstance(default, float) and not math.isfinite(cfg[name]):
-            # json reads NaN and Infinity, which every range check lets through
-            raise ValueError(f"{where}{name} must be finite, got {cfg[name]!r}")
 
 
 def validate_config(cfg: dict) -> None:

@@ -5,6 +5,7 @@ All randomized operations take an explicit seed and are pure functions of
 (inputs, seed); arrays are treated as immutable after construction.
 """
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -76,6 +77,20 @@ def check_int(name: str, value, low: int) -> int:
     return int(value)
 
 
+def check_real(name: str, value) -> float:
+    """The one rule for a real argument: a finite Real, never a bool.
+    Returns it as a Python float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an int or fraction past the float range
+        real = math.inf
+    if not math.isfinite(real):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return real
+
+
 def load_off(path) -> Mesh:
     """Parse an ASCII OFF file.
 
@@ -86,28 +101,18 @@ def load_off(path) -> Mesh:
     """
     path = Path(path)
     lines = path.read_text().splitlines()
-
-    def tokens():
-        for lineno, raw in enumerate(lines, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if text:
-                yield lineno, text
-
-    it = tokens()
-    try:
-        lineno, header = next(it)
-    except StopIteration:
+    # (line number, text) of every line that is not blank once its comment is cut
+    rows = [(lineno, text) for lineno, raw in enumerate(lines, start=1)
+            if (text := raw.split("#", 1)[0].strip())]
+    if not rows:
         raise OffParseError(f"{path}:1: empty file")
+    lineno, header = rows[0]
     if not header.startswith("OFF"):
         raise OffParseError(f"{path}:{lineno}: missing OFF header")
     rest = header[3:].strip()
-    if rest:
-        counts_line, counts_lineno = rest, lineno
-    else:
-        try:
-            counts_lineno, counts_line = next(it)
-        except StopIteration:
-            raise OffParseError(f"{path}:{lineno}: missing counts after header")
+    if not rest and len(rows) < 2:
+        raise OffParseError(f"{path}:{lineno}: missing counts after header")
+    counts_lineno, counts_line = (lineno, rest) if rest else rows[1]
     parts = counts_line.split()
     if len(parts) < 2:
         raise OffParseError(f"{path}:{counts_lineno}: expected vertex/face counts")
@@ -116,12 +121,12 @@ def load_off(path) -> Mesh:
     except ValueError:
         raise OffParseError(f"{path}:{counts_lineno}: non-numeric counts {parts[:3]}")
 
+    body = rows[1 if rest else 2:]  # the vertex rows, then the face rows
     vertices = np.empty((n_vert, 3), dtype=np.float64)
     for i in range(n_vert):
-        try:
-            lineno, text = next(it)
-        except StopIteration:
+        if i == len(body):
             raise OffParseError(f"{path}:{len(lines)}: expected {n_vert} vertices, got {i}")
+        lineno, text = body[i]
         fields = text.split()
         if len(fields) < 3:
             raise OffParseError(f"{path}:{lineno}: vertex line needs 3 coordinates")
@@ -134,10 +139,9 @@ def load_off(path) -> Mesh:
 
     faces = []
     for i in range(n_face):
-        try:
-            lineno, text = next(it)
-        except StopIteration:
+        if n_vert + i == len(body):
             raise OffParseError(f"{path}:{len(lines)}: expected {n_face} faces, got {i}")
+        lineno, text = body[n_vert + i]
         fields = text.split()
         try:
             k = int(fields[0])

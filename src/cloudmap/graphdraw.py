@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, check_int, check_real
 from .project import MappedImage, leaky_image
 
 KMEANS_ITERS = 50  # Lloyd iterations at most, before rebalancing
@@ -36,6 +36,7 @@ class Graph:
     edges: np.ndarray  # (E, 2) int64, each row sorted, rows unique
 
     def __post_init__(self):
+        object.__setattr__(self, "n_vertices", check_int("n_vertices", self.n_vertices, 0))
         e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         e = np.sort(e, axis=1)
         if len(e):
@@ -135,10 +136,10 @@ def balanced_kmeans(cloud: PointCloud, k: int = CLUSTERS, alpha: float = CLUSTER
     """
     pts = cloud.points
     n = len(pts)
-    if k < 1 or not np.isfinite(alpha) or n < k or k * cluster_cap(n, k, alpha) < n:
+    k, alpha = check_int("k", k, 1), check_real("alpha", alpha)
+    if n < k or k * cluster_cap(n, k, alpha) < n:
         raise ValueError(f"balanced_kmeans cannot put n={n} points into k={k} clusters "
-                         f"with alpha={alpha}: it needs k >= 1, n >= k, a finite alpha "
-                         f"and k * ceil(alpha * n / k) >= n")
+                         f"with alpha={alpha}: it needs n >= k and k * ceil(alpha * n / k) >= n")
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_init(pts, k, rng)
 
@@ -518,7 +519,7 @@ def grid_embed_many(graphs: list, positions: list, grid_size: int = GRID) -> lis
     vertices have no edges and are never swap targets; padded neighbour
     lists point at a spare row past the last vertex.
     """
-    gs = grid_size
+    gs = check_int("grid_size", grid_size, 1)
     if len(positions) != len(graphs):
         raise ValueError(f"{len(positions)} position sets for {len(graphs)} graphs")
     for k, graph in enumerate(graphs):

@@ -13,7 +13,6 @@ loss_and_grad keep a downsample argument that must be 1.
 
 import csv
 import json
-import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from functools import reduce
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cloud import augment, check_int
+from .cloud import augment, check_int, check_real
 
 HIDDEN = 16
 ADAM_BETAS = (0.9, 0.999)
@@ -47,17 +46,12 @@ class TrainConfig:
         check_int("epochs", self.epochs, 1)
         check_int("batch_size", self.batch_size, 1)
         check_int("seed", self.seed, 0)
-        if isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real):
-            raise ValueError(f"lr must be a number, got {self.lr!r}")
-        if not math.isfinite(self.lr):
-            raise ValueError("lr must be finite")
-        if self.lr <= 0:
+        if check_real("lr", self.lr) <= 0:
             raise ValueError("lr must be > 0")
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
-    if epoch < 0:
-        raise ValueError("epoch must be >= 0")
+    check_int("epoch", epoch, 0)
     return cfg.lr * LR_GAMMA ** (epoch // LR_STEP)
 
 
@@ -199,7 +193,7 @@ def _loss_and_grads(net: TinyNet, image, label: int, downsample: int,
     """loss_and_grad, then the logits of its forward pass; without
     input_grad, conv1's input gradient is never computed and d_input is
     None. The returned arrays are new, never scratch buffers."""
-    if not 0 <= label < net.num_classes:
+    if check_int("label", label, 0) >= net.num_classes:
         raise ValueError(f"label {label} out of range")
     p = net.params
     logits, (blocks, gap_shape, feat) = _forward_cached(net, image, downsample, scratch)
@@ -232,8 +226,8 @@ def init_adam_state(net: TinyNet) -> dict:
 
 def adam_step(params: dict, grads: dict, state: dict, t: int, lr: float) -> None:
     """In-place Adam update with bias correction and decoupled WEIGHT_DECAY."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    check_int("t", t, 1)
+    check_real("lr", lr)
     b1, b2 = ADAM_BETAS
     for name, p in params.items():
         g = grads[name]
@@ -251,16 +245,20 @@ def adam_step(params: dict, grads: dict, state: dict, t: int, lr: float) -> None
 # training and evaluation
 
 def check_labeled(dataset: list, num_classes: int) -> None:
-    """Rejects an empty dataset, or one holding an unlabeled cloud or a
-    label outside range(num_classes)."""
+    """Rejects an empty dataset, or one holding an unlabeled cloud, an
+    integer label outside range(num_classes) (all such labels are named)
+    or a label that is not an integer (check_int's rule)."""
     if not dataset:
         raise ValueError("empty dataset")
-    labels = {cloud.label for cloud in dataset}
+    labels = [cloud.label for cloud in dataset]
     if None in labels:
         raise ValueError("dataset cloud missing label")
-    bad = sorted(lab for lab in labels if not 0 <= lab < num_classes)
+    bad = sorted({lab for lab in labels
+                  if isinstance(lab, numbers.Integral) and not 0 <= lab < num_classes})
     if bad:
         raise ValueError(f"labels {bad} out of range for {num_classes} classes")
+    for lab in labels:
+        check_int("label", lab, 0)
 
 
 def train(pipeline, dataset: list, cfg: TrainConfig):

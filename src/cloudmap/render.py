@@ -11,13 +11,12 @@ from a scene-control vector; the backward pass is implemented by hand so
 the layer can sit inside the numpy training loop.
 """
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, check_int, check_real
 from .project import GradPath, MappedImage, _pixel_coords
 
 DEFAULT_SCENE_CONTROL = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
@@ -33,9 +32,8 @@ class ZBufferConfig:
     view: ClassVar[str] = "z"  # the one view: along z, from the positive side
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("alpha and beta must be finite")
-        if self.beta <= 0.0:
+        check_real("alpha", self.alpha)
+        if check_real("beta", self.beta) <= 0.0:
             raise ValueError("beta must be > 0")
 
 
@@ -60,8 +58,8 @@ def zbuffer(cloud: PointCloud, config: ZBufferConfig = ZBufferConfig()) -> Mappe
 def positional_embedding(height: int, width: int) -> np.ndarray:
     """(H, W, 2): channel 0 is row/(H-1), channel 1 is col/(W-1); a
     1-pixel dimension yields 0."""
-    if height < 1 or width < 1:
-        raise ValueError("dimensions must be >= 1")
+    check_int("height", height, 1)
+    check_int("width", width, 1)
     r = np.linspace(0.0, 1.0, height)[:, None]
     c = np.linspace(0.0, 1.0, width)[None, :]
     out = np.empty((height, width, 2), dtype=np.float64)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -251,12 +252,15 @@ def test_attack_suite_unlabeled_rejected():
         attack_suite(pipe, [PointCloud(np.zeros((4, 3)))], epsilon=0.1)
 
 
-@pytest.mark.parametrize("run", [
+EVERY_LABEL_CHECK = pytest.mark.parametrize("run", [
     lambda pipe, data: train(pipe, data, TrainConfig(epochs=1, augment_cfg=None)),
     lambda pipe, data: evaluate(pipe.net, pipe, data),
     lambda pipe, data: attack_suite(pipe, data, epsilon=0.1),
     lambda pipe, data: attack_suite(pipe, data, epsilon=0.0),
 ], ids=["train", "evaluate", "attack_suite", "attack_suite_eps0"])
+
+
+@EVERY_LABEL_CHECK
 @pytest.mark.parametrize("name", ["basic", "leaky"])
 def test_label_out_of_range_rejected_before_any_map(monkeypatch, name, run):
     def no_map(self, cloud):
@@ -266,6 +270,22 @@ def test_label_out_of_range_rejected_before_any_map(monkeypatch, name, run):
                                          labeled(np.ones((4, 3)), label=-1)]
     monkeypatch.setattr(Pipeline, "map_image", no_map)
     with pytest.raises(ValueError, match=r"labels \[-1, 7\] out of range for 3 classes"):
+        run(pipe, data)
+
+
+@EVERY_LABEL_CHECK
+@pytest.mark.parametrize("name", ["basic", "leaky"])
+@pytest.mark.parametrize("label", [1.0, True, "1", 2.5])
+def test_label_that_is_not_an_integer_rejected_before_any_map(monkeypatch, label, name, run):
+    # a float or bool label indexes the logits only after every cloud is
+    # mapped, and a float one would be scored without complaint
+    def no_map(self, cloud):
+        raise AssertionError("mapped a cloud")
+    pipe = make_pipeline(name, 3, seed=0)
+    data = small_testset(per=1, n=64) + [labeled(np.zeros((4, 3)), label=label)]
+    monkeypatch.setattr(Pipeline, "map_image", no_map)
+    message = f"label must be an integer >= 0, got {label!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run(pipe, data)
 
 

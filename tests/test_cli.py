@@ -183,6 +183,9 @@ def test_repeated_synthetic_kinds_are_a_config_error(tmp_path, capsys):
     ({"epsilon": float("nan")}, "epsilon must be finite, got nan"),
     ({"epsilon": -0.1}, "epsilon must be finite and >= 0, got -0.1"),
     ({"train": {"lr": float("nan")}}, "train.lr must be finite, got nan"),
+    # json reads an integer of any size, which float() cannot hold
+    pytest.param({"epsilon": 10 ** 400}, f"epsilon must be finite, got {10 ** 400}",
+                 id="epsilon-past-the-float-range"),
     ({"train": {"weight_decay": float("inf")}}, "unknown config keys ['train.weight_decay']"),
 ])
 def test_config_that_would_fail_late_is_a_config_error(tmp_path, capsys, command,

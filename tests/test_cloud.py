@@ -10,6 +10,8 @@ from cloudmap.cloud import (Mesh, OffParseError, PointCloud, SYNTH_KINDS,
                             augment, load_off, normalize_unit, read_xyz,
                             sample_surface, synth_shape, write_xyz)
 
+from off_parser_oracle import load_off_oracle
+
 UNIT_TET = """OFF
 4 4 0
 0 0 0
@@ -85,6 +87,69 @@ def test_load_off_face_index_out_of_range(tmp_path):
 def test_load_off_rejects_non_finite_vertex(tmp_path, bad):
     path = write_off(tmp_path, UNIT_TET.replace("0 1 0\n", f"0 {bad} 0\n"))
     with pytest.raises(OffParseError, match=f"^{re.escape(str(path))}:5: non-finite"):
+        load_off(path)
+
+
+# line faults of an OFF body, by the list of lines they replace one of
+VERTEX_FAULTS = ["0 1", "0 x 1", "nan 0 0", "0 -inf 0", "0 0 -1e999"]
+FACE_FAULTS = ["three 0 1 2", "3 0 a 2", "3 0 1", "2 0 1", "", "3 0 1 7", "3 -1 0 1"]
+HEADERS = ["OFF\n{v} {f} 0", "OFF {v} {f} 0", "OFF{v} {f} 0", "OFF\n{v} {f}",
+           "OFX\n{v} {f} 0", "OFF\n{v}", "OFF\n{v} x 0", "OFF", ""]
+
+
+@st.composite
+def off_texts(draw):
+    """OFF texts: a header, vertex lines and triangle or quad faces, with up
+    to two line faults and a truncated tail, among comments and blank lines."""
+    coord = st.sampled_from(["0", "1", "-0.5", "2.5e-1", "3"])
+    n_vert, n_face = draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    vertex_lines = [" ".join(draw(st.lists(coord, min_size=3, max_size=4)))
+                    for _ in range(n_vert)]
+    face_lines = []
+    for _ in range(n_face):
+        k = draw(st.sampled_from([3, 4]))
+        idx = draw(st.lists(st.integers(0, max(n_vert - 1, 0)), min_size=k, max_size=k))
+        face_lines.append(" ".join(map(str, [k, *idx])))
+    for _ in range(draw(st.integers(0, 2))):
+        lines, faults = draw(st.sampled_from([(vertex_lines, VERTEX_FAULTS),
+                                              (face_lines, FACE_FAULTS)]))
+        if lines:
+            lines[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(faults))
+    body = vertex_lines + face_lines
+    body = body[:len(body) - draw(st.integers(0, len(body)))]
+    header = draw(st.sampled_from(HEADERS)).format(v=n_vert, f=n_face)
+    out = []
+    for line in header.split("\n") + body:
+        out += draw(st.sampled_from([[], [""], ["# a comment"], ["", "   # indented"]]))
+        out.append(line + draw(st.sampled_from(["", " # trailing", "\t"])))
+    return "\n".join(out) + draw(st.sampled_from(["", "\n", "\n# end\n"]))
+
+
+def parsed(load, path):
+    """What load makes of path: the mesh's arrays, or its OffParseError text."""
+    try:
+        mesh = load(path)
+    except OffParseError as exc:
+        return str(exc)
+    return [(a.dtype, a.shape, a.tolist()) for a in (mesh.vertices, mesh.faces)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=off_texts())
+@example(text="OFF\n3 0 0\n0 0\n")  # a short vertex line, then the file ends
+@example(text="OFF 2 1 0\n0 0 0\n0 x 0\n")  # a bad vertex, then no face line
+@example(text="OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n")  # a bad face, then no second
+@example(text="# only a comment\n\n")
+@example(text="OFF # no counts\n\n")
+def test_load_off_matches_the_frozen_parser(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "oracle.off"
+    path.write_text(text)
+    assert parsed(load_off, path) == parsed(load_off_oracle, path)
+
+
+def test_load_off_reports_a_malformed_line_before_the_end_of_the_file(tmp_path):
+    path = write_off(tmp_path, "OFF\n3 0 0\n0 0\n")
+    with pytest.raises(OffParseError, match=f"^{re.escape(str(path))}:3: vertex line needs"):
         load_off(path)
 
 

@@ -133,17 +133,22 @@ def test_kmeans_matches_oracle_on_edge_cases(name, pts, k):
                              kmeans_oracle(cloud, k=k, seed=seed))
 
 
-@pytest.mark.parametrize("kw", [dict(k=0), dict(k=-3), dict(alpha=float("nan")),
-                                dict(alpha=float("inf")), dict(alpha=0.5),
-                                dict(alpha=0.0), dict(alpha=-1.0)])
-def test_kmeans_rejects_bad_k_or_alpha_before_lloyd(monkeypatch, kw):
+# k and alpha break check_int and check_real first; an alpha whose cap
+# cannot hold the cloud breaks the cap rule
+@pytest.mark.parametrize("kw, message", [
+    (dict(k=0), "^k must be an integer >= 1, got 0$"),
+    (dict(k=-3), "^k must be an integer >= 1, got -3$"),
+    (dict(alpha=float("nan")), "^alpha must be finite, got nan$"),
+    (dict(alpha=float("inf")), "^alpha must be finite, got inf$"),
+    *[(dict(alpha=a), rf"n=256 .*k=32 .*alpha={a}") for a in (0.5, 0.0, -1.0)],
+])
+def test_kmeans_rejects_bad_k_or_alpha_before_lloyd(monkeypatch, kw, message):
     def no_init(*a):
         raise AssertionError("kmeans++ ran")
 
     monkeypatch.setattr(graphdraw, "_kmeanspp_init", no_init)
     cloud = PointCloud(np.random.default_rng(5).uniform(-1, 1, (256, 3)))
-    args = dict(k=32, alpha=1.2) | kw
-    with pytest.raises(ValueError, match=rf"n=256 .*k={args['k']} .*alpha={args['alpha']}"):
+    with pytest.raises(ValueError, match=message):
         balanced_kmeans(cloud, seed=0, **kw)
 
 

@@ -355,6 +355,17 @@ def test_loss_and_grad_results_survive_a_second_call():
     assert np.array_equal(d_input, kept[1])
 
 
+@pytest.mark.parametrize("label, message", [
+    *[(v, f"label must be an integer >= 0, got {v!r}") for v in (1.0, True, "1", -1)],
+    (4, "label 4 out of range"),
+])
+def test_loss_and_grad_label_follows_the_integer_rule(label, message):
+    # the label indexes the logits: a bool would pick a new axis, a float fail inside numpy
+    x = np.random.default_rng(13).normal(size=(8, 8, 3))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        loss_and_grad(TinyNet(3, 4), x, label)
+
+
 # ---------------------------------------------------------------------------
 # adam
 
@@ -453,7 +464,8 @@ def test_lr_rejects_negative_epoch():
 @pytest.mark.parametrize("field, value, message", [
     ("lr", 0, "lr must be > 0"),
     ("lr", -0.01, "lr must be > 0"),
-    *[("lr", v, "lr must be finite") for v in (float("nan"), float("inf"), -float("inf"))],
+    *[("lr", v, f"lr must be finite, got {v!r}")
+      for v in (float("nan"), float("inf"), -float("inf"))],
     *[("lr", v, f"lr must be a number, got {v!r}")
       for v in (True, np.bool_(True), "0.1", None)],
     *[(f, v, f"{f} must be an integer >= 1, got {v!r}")

@@ -27,7 +27,7 @@ def test_config_validation():
 @pytest.mark.parametrize("field", ["alpha", "beta"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_config_rejects_non_finite_alpha_and_beta(field, value):
-    with pytest.raises(ValueError, match="^alpha and beta must be finite$"):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
         ZBufferConfig(**{field: value})
 
 
