@@ -6,6 +6,8 @@ import os
 import numpy as np
 import pytest
 
+from cloudmap import cli
+from cloudmap.attack import AttackReport
 from cloudmap.cli import DEFAULT_CONFIG, load_config, main, validate_config
 
 
@@ -311,6 +313,49 @@ def test_attack_blocked_triple(run_dir):
     assert report["n_samples"] == 6
     csv_lines = open(os.path.join(out, "attack_basic.csv")).read().splitlines()
     assert len(csv_lines) == 7
+
+
+# each report file's exact bytes, written from the fixed results below;
+# 0.1 + 0.2 and 100 / 3 need 17 digits, and %.17g writes 0.3 as 0.29999999999999999
+GOLDEN_REPORTS = {
+    "dataset/train/labels.csv":
+        b"file,label,kind\r\nsphere_0000.xyz,0,sphere\r\ncube_0000.xyz,1,cube\r\n",
+    "dataset/test/labels.csv":
+        b"file,label,kind\r\nsphere_0000.xyz,0,sphere\r\nsphere_0001.xyz,0,sphere\r\n"
+        b"cube_0000.xyz,1,cube\r\ncube_0001.xyz,1,cube\r\n",
+    "loss_basic.csv":
+        b"epoch,mean_loss\r\n0,1.5\r\n1,0.30000000000000004\r\n2,33.333333333333336\r\n"
+        b"3,0.29999999999999999\r\n",
+    "metrics_basic.json":
+        b'{\n "pipeline": "basic",\n "instance_accuracy": 33.333333333333336,\n'
+        b' "class_accuracy": 0.30000000000000004\n}',
+    "attack_basic.json":
+        b'{\n "clean_accuracy": 90.0,\n "attacked_accuracy": 33.333333333333336,\n'
+        b' "attack_success_rate": 62.96296296296296,\n "mean_perturbation_l2": 0.1,\n'
+        b' "n_samples": 2\n}',
+    "attack_basic.csv":
+        b"sample,label,clean_pred,attacked_pred,perturbation_l2\r\n"
+        b"0,1,1,0,0.30000000000000004\r\n1,0,0,0,0\r\n",
+}
+
+
+def test_report_files_are_golden_bytes(tmp_path, monkeypatch):
+    history = [1.5, 0.1 + 0.2, 100 / 3, 0.3]
+    report = AttackReport(90.0, 100 / 3, 1700 / 27, 0.1,
+                          [{"sample": 0, "label": 1, "clean_pred": 1, "attacked_pred": 0,
+                            "perturbation_l2": 0.1 + 0.2},
+                           {"sample": 1, "label": 0, "clean_pred": 0, "attacked_pred": 0,
+                            "perturbation_l2": 0.0}])
+    monkeypatch.setattr(cli, "train", lambda *args: (None, history))
+    monkeypatch.setattr(cli, "evaluate", lambda *args: (100 / 3, 0.1 + 0.2))
+    monkeypatch.setattr(cli, "attack_suite", lambda *args, **kwargs: report)
+    path = write_config(tmp_path, dataset={"classes": ["sphere", "cube"],
+                                           "train_per_class": 1, "test_per_class": 2})
+    out = tmp_path / "out"
+    for command in ("dataset", "train", "eval", "attack"):
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+    for name, expected in GOLDEN_REPORTS.items():
+        assert (out / name).read_bytes() == expected, name
 
 
 def test_eval_rerun_identical(run_dir):
