@@ -5,8 +5,6 @@ into intensities expose a differentiable route from the loss back to every
 point, which Pipeline.point_gradient chains through each image's record.
 """
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,26 +82,6 @@ class AttackReport:
     attack_success_rate: float
     mean_perturbation_l2: float
     outcomes: list  # per-sample dicts
-
-    def to_json(self, path) -> None:
-        payload = {
-            "clean_accuracy": self.clean_accuracy,
-            "attacked_accuracy": self.attacked_accuracy,
-            "attack_success_rate": self.attack_success_rate,
-            "mean_perturbation_l2": self.mean_perturbation_l2,
-            "n_samples": len(self.outcomes),
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample", "label", "clean_pred", "attacked_pred",
-                             "perturbation_l2"])
-            for o in self.outcomes:
-                writer.writerow([o["sample"], o["label"], o["clean_pred"],
-                                 o["attacked_pred"], f"{o['perturbation_l2']:.17g}"])
 
 
 def attack_suite(pipeline: Pipeline, testset: list,

@@ -6,7 +6,8 @@ follows the thread split (ROADMAP.md, item 7).
 
 Config is a JSON file plus flag overrides. DEFAULT_CONFIG is the whole
 schema: each key's default, whose type a value must have; a key it does
-not list is an error. All outputs land under the config's out directory.
+not list is an error. All outputs land under the config's out directory;
+_write_csv and _write_json write every report file.
 """
 
 import argparse
@@ -17,12 +18,11 @@ import os
 import sys
 
 from .attack import attack_suite, check_epsilon
-from .cloud import (SYNTH_KINDS, check_real, load_off, normalize_unit, read_xyz,
-                    sample_surface, synth_shape, write_xyz)
+from .cloud import (MIN_POINTS, SYNTH_KINDS, check_int, check_real, load_off,
+                    normalize_unit, read_xyz, sample_surface, synth_shape, write_xyz)
 from .graphdraw import check_cloud_size
 from .imagefile import write_pgm, write_ppm
-from .net import (TrainConfig, evaluate, load_checkpoint, save_checkpoint,
-                  train, write_loss_history)
+from .net import TrainConfig, evaluate, load_checkpoint, save_checkpoint, train
 from .pipeline import PIPELINE_NAMES, Pipeline, make_pipeline
 
 # the train keys whose defaults and rules are TrainConfig's
@@ -110,8 +110,8 @@ def validate_config(cfg: dict) -> None:
         repeated = sorted({k for k in ds["classes"] if ds["classes"].count(k) > 1})
         if repeated:
             raise ValueError(f"repeated shape kinds {repeated}")
-        if ds["train_per_class"] < 1 or ds["test_per_class"] < 1:
-            raise ValueError("per-class counts must be >= 1")
+        for key in ("train_per_class", "test_per_class"):
+            check_int(f"dataset.{key}", ds[key], 1)
     elif ds["type"] == "off_dir":
         if not ds["path"]:
             raise ValueError("an off_dir dataset needs the key 'path'")
@@ -123,8 +123,7 @@ def validate_config(cfg: dict) -> None:
             raise ValueError("test_fraction must lie strictly between 0 and 1")
     else:
         raise ValueError(f"unknown dataset type {ds['type']!r}")
-    if ds["points"] < 64:
-        raise ValueError("points must be >= 64")
+    check_int("dataset.points", ds["points"], MIN_POINTS)
     if cfg["pipeline"] == "graphdraw":
         check_cloud_size(ds["points"])
     train_config(cfg)  # TrainConfig checks the train values
@@ -172,6 +171,21 @@ def _class_clouds(cfg: dict, ci: int, kind: str, split_idx: int) -> list:
             for idx, fname in enumerate(chosen)]
 
 
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1)
+
+
+def _write_csv(path: str, header: list, rows) -> None:
+    """header, then one line per row; a float is written %.17g, which
+    reads back exactly."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
 def cmd_dataset(cfg: dict) -> None:
     for split_idx, split in enumerate(("train", "test")):
         out_dir = _dataset_dir(cfg, split)
@@ -182,10 +196,7 @@ def cmd_dataset(cfg: dict) -> None:
                 name = f"{kind}_{idx:04d}.xyz"
                 write_xyz(cloud, os.path.join(out_dir, name))
                 rows.append((name, ci, kind))
-        with open(os.path.join(out_dir, "labels.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["file", "label", "kind"])
-            writer.writerows(rows)
+        _write_csv(os.path.join(out_dir, "labels.csv"), ["file", "label", "kind"], rows)
     print(f"dataset written under {os.path.join(cfg['out'], 'dataset')}")
 
 
@@ -226,7 +237,8 @@ def cmd_train(cfg: dict) -> None:
     _, history = train(pipeline, trainset, tcfg)
     stem = _checkpoint_stem(cfg)
     save_checkpoint(pipeline.net, stem)
-    write_loss_history(history, os.path.join(cfg["out"], f"loss_{cfg['pipeline']}.csv"))
+    _write_csv(os.path.join(cfg["out"], f"loss_{cfg['pipeline']}.csv"),
+               ["epoch", "mean_loss"], enumerate(history))
     print(f"checkpoint {stem}.bin, final loss {history[-1]:.6f}")
 
 
@@ -247,9 +259,8 @@ def cmd_eval(cfg: dict) -> None:
     pipeline = _load_pipeline(cfg)
     inst, cls = evaluate(pipeline.net, pipeline, testset)
     path = os.path.join(cfg["out"], f"metrics_{cfg['pipeline']}.json")
-    with open(path, "w") as fh:
-        json.dump({"pipeline": cfg["pipeline"], "instance_accuracy": inst,
-                   "class_accuracy": cls}, fh, indent=1)
+    _write_json(path, {"pipeline": cfg["pipeline"], "instance_accuracy": inst,
+                       "class_accuracy": cls})
     print(f"instance {inst:.2f}%  class {cls:.2f}%  -> {path}")
 
 
@@ -258,8 +269,15 @@ def cmd_attack(cfg: dict) -> None:
     pipeline = _load_pipeline(cfg)
     report = attack_suite(pipeline, testset, epsilon=cfg["epsilon"])
     base = os.path.join(cfg["out"], f"attack_{cfg['pipeline']}")
-    report.to_json(base + ".json")
-    report.write_csv(base + ".csv")
+    _write_json(base + ".json", {
+        "clean_accuracy": report.clean_accuracy,
+        "attacked_accuracy": report.attacked_accuracy,
+        "attack_success_rate": report.attack_success_rate,
+        "mean_perturbation_l2": report.mean_perturbation_l2,
+        "n_samples": len(report.outcomes),
+    })
+    columns = ["sample", "label", "clean_pred", "attacked_pred", "perturbation_l2"]
+    _write_csv(base + ".csv", columns, ([o[c] for c in columns] for o in report.outcomes))
     print(f"clean {report.clean_accuracy:.2f}%  attacked "
           f"{report.attacked_accuracy:.2f}%  ASR {report.attack_success_rate:.2f}%"
           f"  -> {base}.json")

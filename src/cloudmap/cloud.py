@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 SYNTH_KINDS = ("sphere", "cube", "cylinder", "cone", "torus")
+MIN_POINTS = 64  # the fewest points synth_shape samples and a CLI dataset holds
 # synthetic shape sizes before the unit-ball scaling of synth_shape
 CUBE_HALF = 1.0  # half the edge length
 CYLINDER_RADIUS, CYLINDER_HALF_H = 0.4, 1.0  # half_h is half the height
@@ -120,6 +121,8 @@ def load_off(path) -> Mesh:
         n_vert, n_face = int(parts[0]), int(parts[1])
     except ValueError:
         raise OffParseError(f"{path}:{counts_lineno}: non-numeric counts {parts[:3]}")
+    if n_vert < 0 or n_face < 0:
+        raise OffParseError(f"{path}:{counts_lineno}: negative counts {parts[:2]}")
 
     body = rows[1 if rest else 2:]  # the vertex rows, then the face rows
     vertices = np.empty((n_vert, 3), dtype=np.float64)
@@ -316,7 +319,7 @@ def synth_shape(kind: str, n: int, seed: int) -> PointCloud:
     """
     if kind not in _SAMPLERS:
         raise ValueError(f"unknown shape kind {kind!r}; expected one of {SYNTH_KINDS}")
-    n = check_int("n", n, 64)
+    n = check_int("n", n, MIN_POINTS)
     pts = _SAMPLERS[kind](np.random.default_rng(seed), n)
     pts = pts / np.linalg.norm(pts, axis=1).max()
     return PointCloud(pts, label=SYNTH_KINDS.index(kind))

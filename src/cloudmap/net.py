@@ -11,7 +11,6 @@ hand the net its final input, at most 64x64 pixels; forward and
 loss_and_grad keep a downsample argument that must be 1.
 """
 
-import csv
 import json
 import numbers
 import os
@@ -376,11 +375,3 @@ def load_checkpoint(stem: str) -> TinyNet:
     for name, part in zip(PARAM_ORDER, np.split(flat, ends[:-1])):
         net.params[name] = part.reshape(net.params[name].shape)
     return net
-
-
-def write_loss_history(history: list, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss"])
-        for i, loss in enumerate(history):
-            writer.writerow([i, f"{loss:.17g}"])

@@ -1,4 +1,3 @@
-import json
 import re
 
 import numpy as np
@@ -6,8 +5,7 @@ import pytest
 
 from cloudmap import attack as attack_module
 from cloudmap import net as net_module
-from cloudmap.attack import (BLOCKED_GRADIENT, AttackReport, asr,
-                             attack_suite, fgsm, input_point_gradient)
+from cloudmap.attack import BLOCKED_GRADIENT, asr, attack_suite, fgsm, input_point_gradient
 from cloudmap.cloud import PointCloud, synth_shape
 from cloudmap.net import TrainConfig, evaluate, loss_and_grad, predict, train
 from cloudmap.pipeline import Pipeline, make_pipeline
@@ -400,29 +398,3 @@ def test_attack_suite_deterministic():
     assert a.clean_accuracy == b.clean_accuracy
     assert a.attacked_accuracy == b.attacked_accuracy
     assert a.mean_perturbation_l2 == b.mean_perturbation_l2
-
-
-# ---------------------------------------------------------------------------
-# report serialization
-
-def test_report_json(tmp_path):
-    report = AttackReport(90.0, 45.0, 50.0, 1.25,
-                          [{"sample": 0, "label": 1, "clean_pred": 1,
-                            "attacked_pred": 0, "perturbation_l2": 1.25}])
-    path = tmp_path / "report.json"
-    report.to_json(path)
-    data = json.loads(path.read_text())
-    assert data["clean_accuracy"] == 90.0
-    assert data["attack_success_rate"] == 50.0
-    assert data["n_samples"] == 1
-
-
-def test_report_csv(tmp_path):
-    report = AttackReport(90.0, 45.0, 50.0, 1.25,
-                          [{"sample": 0, "label": 1, "clean_pred": 1,
-                            "attacked_pred": 0, "perturbation_l2": 1.25}])
-    path = tmp_path / "report.csv"
-    report.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "sample,label,clean_pred,attacked_pred,perturbation_l2"
-    assert lines[1] == "0,1,1,0,1.25"

@@ -189,6 +189,9 @@ def test_repeated_synthetic_kinds_are_a_config_error(tmp_path, capsys):
     pytest.param({"epsilon": 10 ** 400}, f"epsilon must be finite, got {10 ** 400}",
                  id="epsilon-past-the-float-range"),
     ({"train": {"weight_decay": float("inf")}}, "unknown config keys ['train.weight_decay']"),
+    ({"dataset": {"train_per_class": 0}}, "dataset.train_per_class must be an integer >= 1, got 0"),
+    ({"dataset": {"test_per_class": 0}}, "dataset.test_per_class must be an integer >= 1, got 0"),
+    ({"dataset": {"points": 63}}, "dataset.points must be an integer >= 64, got 63"),
 ])
 def test_config_that_would_fail_late_is_a_config_error(tmp_path, capsys, command,
                                                        updates, message):

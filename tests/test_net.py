@@ -12,7 +12,7 @@ from cloudmap.cloud import SYNTH_KINDS, PointCloud, augment, synth_shape
 from cloudmap.net import (LR_GAMMA, LR_STEP, WEIGHT_DECAY, TinyNet, TrainConfig,
                           _pool_relu, _pool_relu_back, adam_step, evaluate,
                           forward, init_adam_state, load_checkpoint, loss_and_grad,
-                          lr_at, predict, save_checkpoint, train, write_loss_history)
+                          lr_at, predict, save_checkpoint, train)
 from cloudmap.pipeline import _window_sum, make_pipeline
 
 import tinynet_oracle
@@ -732,15 +732,6 @@ def test_checkpoint_manifest_must_match_the_net(tmp_path, edit, key):
     open(stem + ".json", "w").write(json.dumps(manifest))
     with pytest.raises(ValueError, match=f"^checkpoint {re.escape(stem)}.json.*{key}"):
         load_checkpoint(stem)
-
-
-def test_loss_history_csv(tmp_path):
-    path = tmp_path / "loss.csv"
-    write_loss_history([1.5, 0.75, 0.3], str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "epoch,mean_loss"
-    assert lines[1].startswith("0,1.5")
-    assert len(lines) == 4
 
 
 def test_param_count_under_desk_budget():
