@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud, check_real
-from .net import _forward_cached, _loss_and_grads, _scratch, check_labeled, loss_and_grad
+from .net import _loss_and_grads, check_labeled, loss_and_grad, predict
 from .pipeline import Pipeline
 from .project import GradPath, MappedImage, cloud_key
 
@@ -87,35 +87,32 @@ class AttackReport:
 def attack_suite(pipeline: Pipeline, testset: list,
                  epsilon: float = 0.1) -> AttackReport:
     """Clean and attacked accuracy over the same samples; epsilon must be
-    finite and >= 0, and labels are checked before any map. Each clean
-    cloud is mapped once and goes through one forward pass, which gives
-    its clean prediction. A cloud the step would leave unchanged (a
-    blocked pipeline, or epsilon 0) keeps it, and no backward pass runs;
-    otherwise the pass feeds the backward pass of the fgsm step, and the
-    moved cloud is mapped and classified again (same mapper seed). All of
-    it runs on conv buffers kept for the whole call, and each outcome
+    finite and >= 0, and labels are checked before any map. A cloud the
+    step would leave unchanged (a blocked pipeline, or epsilon 0) is
+    classified once by predict, and no backward pass runs. Otherwise the
+    clean cloud is mapped once, and one forward and backward pass gives
+    its clean prediction and the input gradient of the fgsm step; predict
+    then classifies the moved cloud (same mapper seed). Each outcome
     equals that of predict, fgsm and predict in turn."""
     check_epsilon(epsilon)
     net = pipeline.net
     check_labeled(testset, net.num_classes)
-    scratch = _scratch()
     outcomes = []
     clean_hits = 0
     attacked_hits = 0
     l2s = []
     for i, cloud in enumerate(testset):
-        image = pipeline.map_image(cloud)
-        x = pipeline.net_input_from_image(image)
-        if image.grad_path is GradPath.BLOCKED or epsilon == 0.0:
-            clean_pred = attacked_pred = int(np.argmax(_forward_cached(net, x, 1, scratch)[0]))
+        if pipeline.grad_path is GradPath.BLOCKED or epsilon == 0.0:
+            clean_pred = attacked_pred = predict(net, pipeline, cloud)
             attacked_cloud = cloud
         else:
-            _, _, d_input, logits = _loss_and_grads(net, x, cloud.label, 1, True, scratch)
+            image = pipeline.map_image(cloud)
+            _, _, d_input, logits = _loss_and_grads(
+                net, pipeline.net_input_from_image(image), cloud.label, True)
             clean_pred = int(np.argmax(logits))
             grad = pipeline.point_gradient(cloud, image, d_input)
             attacked_cloud = _sign_step(cloud, grad, epsilon)
-            x = pipeline.net_input(attacked_cloud)
-            attacked_pred = int(np.argmax(_forward_cached(net, x, 1, scratch)[0]))
+            attacked_pred = predict(net, pipeline, attacked_cloud)
         l2 = float(np.linalg.norm(attacked_cloud.points - cloud.points))
         clean_hits += clean_pred == cloud.label
         attacked_hits += attacked_pred == cloud.label

@@ -117,8 +117,12 @@ def validate_config(cfg: dict) -> None:
             raise ValueError("an off_dir dataset needs the key 'path'")
         if not os.path.isdir(ds["path"]):
             raise ValueError(f"OFF directory not found: {ds['path']}")
-        if not any(_off_files(os.path.join(ds["path"], kind)) for kind in _class_names(cfg)):
+        kinds = _class_names(cfg)
+        empty = [kind for kind in kinds if not _off_files(os.path.join(ds["path"], kind))]
+        if len(empty) == len(kinds):
             raise ValueError(f"no class folder of {ds['path']} holds a .off file")
+        if empty:
+            raise ValueError(f"class folders {empty} of {ds['path']} hold no .off file")
         if not 0 < ds["test_fraction"] < 1:
             raise ValueError("test_fraction must lie strictly between 0 and 1")
     else:

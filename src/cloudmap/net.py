@@ -5,7 +5,9 @@ schedule LR_STEP and LR_GAMMA, a training loop, and accuracy metrics.
 Layout is channels-last (H, W, C); conv weights are (C_in, 3, 3, C_out).
 Each convolution and its weight and input gradients are plain matmuls
 over an im2col matrix of 3x3 windows; train skips conv1's input
-gradient, which only attacks read. Each block then max-pools and applies
+gradient, which only attacks read. The padded inputs and im2col matrices
+live in one pool per thread that every call in it reuses, and no
+returned array is one of them. Each block then max-pools and applies
 ReLU, which equals ReLU before the pool, as ReLU is monotone. Pipelines
 hand the net its final input, at most 64x64 pixels; forward and
 loss_and_grad keep a downsample argument that must be 1.
@@ -14,6 +16,7 @@ loss_and_grad keep a downsample argument that must be 1.
 import json
 import numbers
 import os
+import threading
 from dataclasses import dataclass
 from functools import reduce
 
@@ -77,32 +80,28 @@ class TinyNet:
 # ---------------------------------------------------------------------------
 # layer forward/backward pairs
 
-def _scratch() -> list:
-    """One buffer dict per conv layer. train, evaluate and
-    attack.attack_suite each keep one list for their whole call, so every
-    cloud reuses the same large buffers instead of allocating and freeing
-    them; forward and loss_and_grad take a new one per call."""
-    return [{}, {}, {}]
+_POOL = threading.local()  # .buffers: {(layer, name): array}, one dict per thread
 
 
-def _buffer(scratch: dict, key: str, shape: tuple) -> np.ndarray:
-    """scratch[key], replaced by a zero array first unless it has shape."""
-    buf = scratch.get(key)
+def _buffer(layer: int, key: str, shape: tuple) -> np.ndarray:
+    """This thread's buffer (layer, key), replaced by zeros unless it has shape."""
+    pool = vars(_POOL).setdefault("buffers", {})
+    buf = pool.get((layer, key))
     if buf is None or buf.shape != shape:
-        buf = scratch[key] = np.zeros(shape)
+        buf = pool[layer, key] = np.zeros(shape)
     return buf
 
 
-def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, scratch: dict):
+def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, layer: int):
     """3x3 same convolution as one matmul. Row p of the im2col matrix
     holds pixel p's zero-padded window in (3, 3, C_in) order, so the copy
     that builds it moves runs of C_in contiguous values. The padded input
-    and the im2col matrix are the layer's scratch buffers; only the
+    and the im2col matrix are the layer's pool buffers; only the
     padding's interior is ever written, so its border stays zero."""
     h, wd, ci = x.shape
-    xp = _buffer(scratch, "xp", (h + 2, wd + 2, ci))
+    xp = _buffer(layer, "xp", (h + 2, wd + 2, ci))
     xp[1:-1, 1:-1] = x
-    cols = _buffer(scratch, "cols", (h * wd, 9 * ci))
+    cols = _buffer(layer, "cols", (h * wd, 9 * ci))
     cols.reshape(h, wd, 3, 3, ci)[...] = \
         sliding_window_view(xp, (3, 3), axis=(0, 1)).transpose(0, 1, 3, 4, 2)
     out = cols @ w.transpose(1, 2, 0, 3).reshape(9 * ci, -1)
@@ -158,18 +157,15 @@ def _pool_relu_back(d_out: np.ndarray, cache) -> np.ndarray:
     return d_x
 
 
-def _forward_cached(net: TinyNet, image, downsample: int, scratch: list):
-    """Logits, and each block's and the head's caches; conv layer i
-    builds its buffers in scratch[i - 1]."""
-    if downsample != 1:
-        raise ValueError(f"downsample must be 1, got {downsample}")
+def _forward_cached(net: TinyNet, image):
+    """Logits, and each block's and the head's caches."""
     a = np.asarray(image, dtype=np.float64)
     if a.ndim != 3 or a.shape[2] != net.c_in:
         raise ValueError(f"expected (H, W, {net.c_in}) input, got {a.shape}")
     p = net.params
     blocks = []
     for i in (1, 2, 3):
-        a, conv = _conv(a, p[f"conv{i}_w"], p[f"conv{i}_b"], scratch[i - 1])
+        a, conv = _conv(a, p[f"conv{i}_w"], p[f"conv{i}_b"], i)
         a, pool = _pool_relu(a)
         blocks.append((conv, pool))
     feat = a.mean(axis=(0, 1))
@@ -178,24 +174,27 @@ def _forward_cached(net: TinyNet, image, downsample: int, scratch: list):
 
 
 def forward(net: TinyNet, image, downsample: int = 1) -> np.ndarray:
-    return _forward_cached(net, image, downsample, _scratch())[0]
+    if downsample != 1:
+        raise ValueError(f"downsample must be 1, got {downsample}")
+    return _forward_cached(net, image)[0]
 
 
 def loss_and_grad(net: TinyNet, image, label: int, downsample: int = 1):
     """Softmax cross-entropy plus gradients for every parameter and for
     the input image."""
-    return _loss_and_grads(net, image, label, downsample, True, _scratch())[:3]
+    if downsample != 1:
+        raise ValueError(f"downsample must be 1, got {downsample}")
+    return _loss_and_grads(net, image, label, True)[:3]
 
 
-def _loss_and_grads(net: TinyNet, image, label: int, downsample: int,
-                    input_grad: bool, scratch: list):
+def _loss_and_grads(net: TinyNet, image, label: int, input_grad: bool):
     """loss_and_grad, then the logits of its forward pass; without
     input_grad, conv1's input gradient is never computed and d_input is
-    None. The returned arrays are new, never scratch buffers."""
+    None."""
     if check_int("label", label, 0) >= net.num_classes:
         raise ValueError(f"label {label} out of range")
     p = net.params
-    logits, (blocks, gap_shape, feat) = _forward_cached(net, image, downsample, scratch)
+    logits, (blocks, gap_shape, feat) = _forward_cached(net, image)
 
     zmax = logits.max()
     lse = zmax + np.log(np.exp(logits - zmax).sum())
@@ -267,7 +266,6 @@ def train(pipeline, dataset: list, cfg: TrainConfig):
     net = pipeline.net
     check_labeled(dataset, net.num_classes)
     state = init_adam_state(net)
-    scratch = _scratch()
     static_inputs = None
     if not cfg.augment_cfg:
         static_inputs = [pipeline.net_input(c) for c in dataset]
@@ -290,8 +288,7 @@ def train(pipeline, dataset: list, cfg: TrainConfig):
                     aug_seed = int(np.random.default_rng(
                         [cfg.seed, 77, epoch, int(si)]).integers(2 ** 31))
                     x = pipeline.net_input(augment(cloud, aug_seed))
-                loss, grads, _, _ = _loss_and_grads(net, x, cloud.label, 1,
-                                                    False, scratch)
+                loss, grads, _, _ = _loss_and_grads(net, x, cloud.label, False)
                 if not np.isfinite(loss):
                     raise RuntimeError(f"loss diverged at epoch {epoch}")
                 losses.append(loss)
@@ -315,15 +312,13 @@ def predict(net: TinyNet, pipeline, cloud) -> int:
 
 def evaluate(net: TinyNet, pipeline, dataset: list) -> tuple[float, float]:
     """(instance accuracy, class accuracy) in percent. Class accuracy is
-    the unweighted mean of per-class recalls. Each cloud is mapped once and
-    classified as predict would, on conv buffers kept for the whole call."""
+    the unweighted mean of per-class recalls, each cloud classified by
+    predict."""
     check_labeled(dataset, net.num_classes)
-    scratch = _scratch()
     correct = {}
     total = {}
     for cloud in dataset:
-        logits = _forward_cached(net, pipeline.net_input(cloud), 1, scratch)[0]
-        pred = int(np.argmax(logits))
+        pred = predict(net, pipeline, cloud)
         lab = cloud.label
         total[lab] = total.get(lab, 0) + 1
         correct[lab] = correct.get(lab, 0) + (1 if pred == lab else 0)

@@ -311,7 +311,6 @@ def test_attack_suite_counts_maps_and_forward_passes(monkeypatch, epsilon):
 
     monkeypatch.setattr(Pipeline, "map_image", map_spy)
     monkeypatch.setattr(net_module, "_forward_cached", forward_spy)
-    monkeypatch.setattr(attack_module, "_forward_cached", forward_spy)
     monkeypatch.setattr(attack_module, "_loss_and_grads", backward_spy)
     data = small_testset(per=1)
     for name in ("basic", "leaky", "graphdraw", "zbuffer"):

@@ -525,6 +525,28 @@ def test_off_dir_without_meshes_is_a_config_error(tmp_path, capsys, layout):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("layout, empty", [
+    ({"a": ["m0.off", "m1.off"], "b": []}, ["b"]),
+    ({"a": ["notes.txt"], "b": ["m0.off"], "c": []}, ["a", "c"]),
+])
+def test_off_dir_with_an_empty_class_folder_is_a_config_error(tmp_path, capsys, layout, empty):
+    # a folder without meshes would be a class with no clouds, which the
+    # net still gets an output for
+    root = tmp_path / "meshes"
+    root.mkdir()
+    for kind, files in layout.items():
+        (root / kind).mkdir()
+        for fname in files:
+            (root / kind / fname).write_text(TET_OFF)
+    path = write_config(tmp_path, dataset={"type": "off_dir", "path": str(root), "points": 64})
+    out = tmp_path / "out"
+    for command in ("dataset", "train", "eval"):
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: class folders {empty} of {root} hold no .off file\n"
+    assert not out.exists()
+
+
 def test_train_on_a_dataset_of_another_class_list_fails(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["dataset", "--config", write_config(tmp_path), "--out", out]) == 0

@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,7 +326,7 @@ def test_train_equals_reference_loop_bit_for_bit(name, augmented):
 
 @pytest.mark.parametrize("size", [1, 2, 57])
 def test_train_reusing_its_buffers_equals_reference_loop(size):
-    # train keeps one set of conv buffers per layer for its whole call; at
+    # train reuses this thread's conv buffers, one set per layer; at
     # 1x1 and 2x2 the inputs of conv2 and conv3 have one shape
     rng = np.random.default_rng(size)
     dataset = [ToySample(rng.normal(size=(size, size, 3)), label % 3)
@@ -343,16 +344,57 @@ def test_train_reusing_its_buffers_equals_reference_loop(size):
 
 
 def test_loss_and_grad_results_survive_a_second_call():
+    # every call reuses this thread's conv buffers, so no array that
+    # forward, loss_and_grad or _loss_and_grads returned may change when a
+    # later call runs on another input, of the same shape or not
     rng = np.random.default_rng(12)
     net = TinyNet(3, 4, seed=12)
-    x, other = rng.normal(size=(2, 57, 57, 3))
+    x, same = rng.normal(size=(2, 57, 57, 3))
+    other = rng.normal(size=(31, 31, 3))
+    logits = forward(net, x)
     _, grads, d_input = loss_and_grad(net, x, 1)
-    kept = {name: g.copy() for name, g in grads.items()}, d_input.copy()
-    loss_and_grad(net, other, 2)
-    forward(net, other)
-    for name, g in grads.items():
-        assert np.array_equal(g, kept[0][name])
-    assert np.array_equal(d_input, kept[1])
+    _, grads_in, d_input_in, logits_in = net_module._loss_and_grads(net, x, 2, True)
+    _, grads_no, _, logits_no = net_module._loss_and_grads(net, x, 3, False)
+    arrays = [logits, d_input, d_input_in, logits_in, logits_no,
+              *grads.values(), *grads_in.values(), *grads_no.values()]
+    kept = [a.copy() for a in arrays]
+    for y in (same, other):
+        forward(net, y)
+        loss_and_grad(net, y, 0)
+        net_module._loss_and_grads(net, y, 0, False)
+    assert all(np.array_equal(a, k) for a, k in zip(arrays, kept))
+
+
+def test_threads_running_at_once_get_the_bytes_of_calls_run_in_turn():
+    # each thread keeps its own conv buffers, so forward and loss_and_grad
+    # may run at the same time on inputs of different shapes; two of one
+    # shape would write the same buffers if threads shared them
+    rng = np.random.default_rng(25)
+    net = TinyNet(3, 4, seed=25)
+    for i in (1, 2, 3):
+        net.params[f"conv{i}_b"] = rng.normal(0.0, 0.1, 16)
+    inputs = [rng.normal(size=(s, s, 3)) for s in (64, 57, 57, 8)]
+    start = threading.Barrier(len(inputs))
+
+    def run(k, out, wait):
+        if wait:
+            start.wait()
+        for _ in range(10):
+            loss, grads, d_input = loss_and_grad(net, inputs[k], k)
+            out.append(forward(net, inputs[k]).tobytes() + np.float64(loss).tobytes()
+                       + d_input.tobytes() + b"".join(grads[n].tobytes() for n in sorted(grads)))
+
+    in_turn = [[] for _ in inputs]
+    for k, out in enumerate(in_turn):
+        run(k, out, False)
+    at_once = [[] for _ in inputs]
+    threads = [threading.Thread(target=run, args=(k, out, True))
+               for k, out in enumerate(at_once)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert at_once == in_turn
 
 
 @pytest.mark.parametrize("label, message", [
@@ -590,7 +632,7 @@ def test_evaluate_order_invariant():
 
 
 def reference_evaluate(net, pipe, data):
-    """evaluate as it was: predict on each cloud, each on its own buffers."""
+    """evaluate written out: predict on each cloud, then the recalls."""
     correct, total = {}, {}
     for cloud in data:
         pred = predict(net, pipe, cloud)
@@ -630,7 +672,7 @@ def test_evaluate_equals_the_predict_loop_bit_for_bit(monkeypatch, name):
 
 
 def test_evaluate_of_mixed_input_sizes_equals_the_predict_loop(monkeypatch):
-    # evaluate keeps one set of conv buffers for its whole call; inputs of
+    # the conv buffers outlive every call in a thread; inputs of
     # changing sizes must replace them, never read a stale one
     rng = np.random.default_rng(22)
     data = [ToySample(rng.normal(size=(s, s, 3)), i % 3)
