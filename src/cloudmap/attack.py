@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud, check_real
-from .net import _loss_and_grads, check_labeled, loss_and_grad, predict
+from .net import _loss_and_grads, check_labeled, predict
 from .pipeline import Pipeline
 from .project import GradPath, MappedImage, cloud_key
 
@@ -30,6 +30,16 @@ def _sign_step(cloud: PointCloud, grad: np.ndarray, epsilon: float) -> PointClou
     return cloud.with_points(cloud.points + epsilon * np.sign(grad))
 
 
+def _leak_gradient(pipeline: Pipeline, cloud: PointCloud, label: int,
+                   image: MappedImage):
+    """(logits, point gradient) of cloud's leak image: one forward and
+    backward pass of its net input, the input gradient chained to every
+    point through the image's scatter record."""
+    _, _, d_input, logits = _loss_and_grads(
+        pipeline.net, pipeline.net_input_from_image(image), label, True)
+    return logits, pipeline.point_gradient(cloud, image, d_input)
+
+
 def input_point_gradient(pipeline: Pipeline, cloud: PointCloud, label: int,
                          image: MappedImage | None = None):
     """Gradient of the classification loss wrt every point coordinate,
@@ -43,9 +53,7 @@ def input_point_gradient(pipeline: Pipeline, cloud: PointCloud, label: int,
         return None
     if image.source_key != cloud_key(cloud):
         raise ValueError("stale leak_map: cloud changed since it was mapped")
-    x = pipeline.net_input_from_image(image)
-    _, _, d_input = loss_and_grad(pipeline.net, x, label)
-    return pipeline.point_gradient(cloud, image, d_input)
+    return _leak_gradient(pipeline, cloud, label, image)[1]
 
 
 @dataclass
@@ -98,30 +106,21 @@ def attack_suite(pipeline: Pipeline, testset: list,
     net = pipeline.net
     check_labeled(testset, net.num_classes)
     outcomes = []
-    clean_hits = 0
-    attacked_hits = 0
-    l2s = []
     for i, cloud in enumerate(testset):
         if pipeline.grad_path is GradPath.BLOCKED or epsilon == 0.0:
             clean_pred = attacked_pred = predict(net, pipeline, cloud)
             attacked_cloud = cloud
         else:
-            image = pipeline.map_image(cloud)
-            _, _, d_input, logits = _loss_and_grads(
-                net, pipeline.net_input_from_image(image), cloud.label, True)
+            logits, grad = _leak_gradient(pipeline, cloud, cloud.label,
+                                          pipeline.map_image(cloud))
             clean_pred = int(np.argmax(logits))
-            grad = pipeline.point_gradient(cloud, image, d_input)
             attacked_cloud = _sign_step(cloud, grad, epsilon)
             attacked_pred = predict(net, pipeline, attacked_cloud)
-        l2 = float(np.linalg.norm(attacked_cloud.points - cloud.points))
-        clean_hits += clean_pred == cloud.label
-        attacked_hits += attacked_pred == cloud.label
-        l2s.append(l2)
         outcomes.append({"sample": i, "label": cloud.label,
                          "clean_pred": clean_pred, "attacked_pred": attacked_pred,
-                         "perturbation_l2": l2})
-    n = len(testset)
-    clean = 100.0 * clean_hits / n
-    attacked = 100.0 * attacked_hits / n
+                         "perturbation_l2": float(np.linalg.norm(
+                             attacked_cloud.points - cloud.points))})
+    clean, attacked = (100.0 * sum(o[key] == o["label"] for o in outcomes) / len(outcomes)
+                       for key in ("clean_pred", "attacked_pred"))
     return AttackReport(clean, attacked, asr(clean, attacked),
-                        float(np.mean(l2s)), outcomes)
+                        float(np.mean([o["perturbation_l2"] for o in outcomes])), outcomes)

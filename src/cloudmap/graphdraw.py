@@ -352,15 +352,27 @@ def _principal_frame(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return ctr, vt, rank
 
 
+def _point_set(k: int, points) -> np.ndarray:
+    """Point set k as an (M, 3) float64 array of finite coordinates, M = 0
+    included; any other shape or a non-finite value raises ValueError."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"point set {k}: expected an (M, 3) array, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError(f"point set {k}: coordinates must be finite")
+    return pts
+
+
 def delaunay3_many(point_sets: list) -> list:
     """delaunay3 of every (M, 3) point set. The triangulations of each
     dimension (3-D sets and coplanar sets in their best-fit planes) run in
     one lockstep Bowyer-Watson pass. A set of 0 or 1 points gets a graph
-    without edges."""
+    without edges; a set of another shape or with a non-finite coordinate
+    raises ValueError naming its index."""
     prepared = []  # (m, rep, inverse, edges over unique points or None)
     tasks = {2: [], 3: []}  # dimension -> [(set index, coordinates)]
-    for k, points in enumerate(point_sets):
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    point_sets = [_point_set(k, p) for k, p in enumerate(point_sets)]
+    for k, pts in enumerate(point_sets):
         m = len(pts)
         # rep holds each unique point's first occurrence
         uniq, rep, inverse = np.unique(pts, axis=0, return_index=True, return_inverse=True)
@@ -402,9 +414,10 @@ def delaunay3(points: np.ndarray) -> Graph:
     chain. Exact duplicate points are collapsed onto one representative each
     and reattached to it by an edge afterwards.
     """
-    if len(np.asarray(points).reshape(-1, 3)) < 2:
+    pts = _point_set(0, points)
+    if len(pts) < 2:
         raise ValueError("need at least 2 points")
-    return delaunay3_many([points])[0]
+    return delaunay3_many([pts])[0]
 
 
 def _oracle_edges(pts: np.ndarray) -> np.ndarray:
@@ -426,7 +439,7 @@ def delaunay_oracle(points: np.ndarray) -> Graph:
     """Brute-force Delaunay edge set: enumerate all 4-point subsets, keep
     tetrahedra whose circumsphere strictly contains no other point, union
     their edges. O(M^5); intended for M <= 40 in general position."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    pts = _point_set(0, points)
     m = len(pts)
     if m < 4:
         raise ValueError("oracle needs at least 4 points")
@@ -499,7 +512,8 @@ def _initial_cells(targets: np.ndarray, order: np.ndarray, sizes: np.ndarray,
 
 def grid_embed_many(graphs: list, positions: list, grid_size: int = GRID) -> list:
     """Injective assignments of the vertices of every graph to the cells of
-    its own grid_size x grid_size grid, all run in lockstep.
+    its own grid_size x grid_size grid, all run in lockstep. Each graph's
+    position set must be (n_vertices, 3) and finite, or ValueError names it.
 
     Each graph's vertices are projected onto their two principal
     components, snapped to free cells in descending distance-from-centroid
@@ -522,10 +536,14 @@ def grid_embed_many(graphs: list, positions: list, grid_size: int = GRID) -> lis
     gs = check_int("grid_size", grid_size, 1)
     if len(positions) != len(graphs):
         raise ValueError(f"{len(positions)} position sets for {len(graphs)} graphs")
-    for k, graph in enumerate(graphs):
+    positions = [_point_set(k, p) for k, p in enumerate(positions)]
+    for k, (graph, p) in enumerate(zip(graphs, positions)):
         if graph.n_vertices > gs * gs:
             raise ValueError(f"graph {k}: {graph.n_vertices} vertices do not fit "
                              f"a {gs}x{gs} grid")
+        if len(p) != graph.n_vertices:
+            raise ValueError(f"point set {k}: {len(p)} positions for "
+                             f"{graph.n_vertices} vertices")
     n = len(graphs)
     if n == 0:
         return []
@@ -535,8 +553,7 @@ def grid_embed_many(graphs: list, positions: list, grid_size: int = GRID) -> lis
     targets = np.zeros((n, spare, 2))
     order = np.zeros((n, spare), dtype=np.int64)
     for k, (m, p) in enumerate(zip(sizes, positions)):
-        targets[k, :m], order[k, :m] = _snap_targets(
-            np.asarray(p, dtype=np.float64).reshape(m, 3), gs)
+        targets[k, :m], order[k, :m] = _snap_targets(p, gs)
     flat = _initial_cells(targets, order, sizes, gs)
     placed = flat >= 0
     taken = np.zeros((n, gs * gs), dtype=bool)

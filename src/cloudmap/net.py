@@ -10,7 +10,8 @@ live in one pool per thread that every call in it reuses, and no
 returned array is one of them. Each block then max-pools and applies
 ReLU, which equals ReLU before the pool, as ReLU is monotone. Pipelines
 hand the net its final input, at most 64x64 pixels; forward and
-loss_and_grad keep a downsample argument that must be 1.
+loss_and_grad keep a downsample argument that must be 1. train builds
+all net inputs of a pass (the run, or one augmented epoch) before its steps.
 """
 
 import json
@@ -225,7 +226,8 @@ def init_adam_state(net: TinyNet) -> dict:
 def adam_step(params: dict, grads: dict, state: dict, t: int, lr: float) -> None:
     """In-place Adam update with bias correction and decoupled WEIGHT_DECAY."""
     check_int("t", t, 1)
-    check_real("lr", lr)
+    if check_real("lr", lr) <= 0:
+        raise ValueError("lr must be > 0")
     b1, b2 = ADAM_BETAS
     for name, p in params.items():
         g = grads[name]
@@ -260,20 +262,24 @@ def check_labeled(dataset: list, num_classes: int) -> None:
 
 
 def train(pipeline, dataset: list, cfg: TrainConfig):
-    """Train the pipeline's net on labeled clouds. Augmentation (when
-    configured) is re-rolled per sample per epoch; inference inside
-    evaluate() never augments. Returns (net, per-epoch mean loss)."""
+    """Train the pipeline's net on labeled clouds. The net inputs of a pass
+    are built before its steps: once, or with augmentation on, at the top of
+    every epoch from clouds augmented per sample. evaluate() never augments.
+    Returns (net, per-epoch mean loss)."""
     net = pipeline.net
     check_labeled(dataset, net.num_classes)
     state = init_adam_state(net)
-    static_inputs = None
     if not cfg.augment_cfg:
-        static_inputs = [pipeline.net_input(c) for c in dataset]
+        inputs = [pipeline.net_input(c) for c in dataset]
 
     history = []
     t = 0
     n = len(dataset)
     for epoch in range(cfg.epochs):
+        if cfg.augment_cfg:
+            seeds = [int(np.random.default_rng([cfg.seed, 77, epoch, si]).integers(2 ** 31))
+                     for si in range(n)]
+            inputs = [pipeline.net_input(augment(c, s)) for c, s in zip(dataset, seeds)]
         lr = lr_at(epoch, cfg)
         order = np.random.default_rng([cfg.seed, 31, epoch]).permutation(n)
         losses = []
@@ -281,14 +287,7 @@ def train(pipeline, dataset: list, cfg: TrainConfig):
             batch = order[start:start + cfg.batch_size]
             acc = {name: np.zeros_like(p) for name, p in net.params.items()}
             for si in batch:
-                cloud = dataset[si]
-                if static_inputs is not None:
-                    x = static_inputs[si]
-                else:
-                    aug_seed = int(np.random.default_rng(
-                        [cfg.seed, 77, epoch, int(si)]).integers(2 ** 31))
-                    x = pipeline.net_input(augment(cloud, aug_seed))
-                loss, grads, _, _ = _loss_and_grads(net, x, cloud.label, False)
+                loss, grads, _, _ = _loss_and_grads(net, inputs[si], dataset[si].label, False)
                 if not np.isfinite(loss):
                     raise RuntimeError(f"loss diverged at epoch {epoch}")
                 losses.append(loss)

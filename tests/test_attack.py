@@ -375,6 +375,27 @@ def test_attack_suite_equals_old_composition(trained_pipelines, name, epsilon):
         [o["perturbation_l2"] for o in want]))
 
 
+@pytest.mark.parametrize("name", ["leaky", "graphdraw"])
+def test_attack_suite_classifies_the_clouds_fgsm_makes(monkeypatch, name):
+    # attack_suite and input_point_gradient share one leak-gradient chain,
+    # so each cloud attack_suite classifies after the step is fgsm's
+    pipe = make_pipeline(name, 3, seed=0)
+    data = small_testset(per=1)
+    seen = []
+
+    def predict_spy(net, pipeline, cloud):
+        seen.append(cloud)
+        return predict(net, pipeline, cloud)
+
+    monkeypatch.setattr(attack_module, "predict", predict_spy)
+    attack_suite(pipe, data, epsilon=0.1)
+    assert len(seen) == len(data)
+    for got, cloud in zip(seen, data):
+        want = fgsm(pipe, cloud, cloud.label, epsilon=0.1).cloud
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.label == want.label
+
+
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -float("inf"), -0.1])
 @pytest.mark.parametrize("name", ["basic", "leaky"])
 def test_bad_epsilon_rejected_before_any_map(monkeypatch, name, epsilon):

@@ -437,6 +437,59 @@ def test_oracle_tetrahedron():
     assert len(delaunay_oracle(pts).edges) == 6
 
 
+def with_value(shape, index, value):
+    pts = np.random.default_rng(64).uniform(-1, 1, shape)
+    pts[index] = value
+    return pts
+
+
+BAD_POINT_SETS = {
+    "12x2": (np.zeros((12, 2)), r"expected an \(M, 3\) array, got shape \(12, 2\)"),
+    "flat": (np.zeros(12), r"expected an \(M, 3\) array, got shape \(12,\)"),
+    "3-d": (np.zeros((2, 2, 3)), r"expected an \(M, 3\) array, got shape \(2, 2, 3\)"),
+    "nan": (with_value((8, 3), (5, 1), np.nan), "coordinates must be finite"),
+    "inf": (with_value((8, 3), (0, 2), -np.inf), "coordinates must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_POINT_SETS)
+def test_point_set_entries_reject_bad_sets_before_any_svd(monkeypatch, case):
+    # a wrong shape was reshaped into made-up points, and a non-finite
+    # coordinate ended in numpy's SVD error or a graph leaving it out
+    def no_svd(*args):
+        raise AssertionError("an SVD ran")
+
+    monkeypatch.setattr(graphdraw, "_principal_frame", no_svd)
+    points, message = BAD_POINT_SETS[case]
+    good = np.random.default_rng(65).uniform(-1, 1, (8, 3))
+    graph = Graph(len(points), np.empty((0, 2), dtype=np.int64))
+    calls = {
+        0: [lambda: delaunay3(points), lambda: delaunay_oracle(points),
+            lambda: grid_embed(graph, points)],
+        1: [lambda: delaunay3_many([good, points]),
+            lambda: grid_embed_many([Graph(8, [[0, 1]]), graph], [good, points])],
+    }
+    for k, entries in calls.items():
+        for call in entries:
+            with pytest.raises(ValueError, match=f"^point set {k}: {message}$"):
+                call()
+
+
+def test_grid_embed_needs_one_position_per_vertex():
+    graph = Graph(2, [[0, 1]])
+    for positions in (np.zeros((3, 3)), np.zeros((1, 3))):
+        with pytest.raises(ValueError, match=rf"^point set 0: {len(positions)} positions "
+                                             r"for 2 vertices$"):
+            grid_embed(graph, positions)
+
+
+def test_point_set_entries_take_empty_sets():
+    empty = np.zeros((0, 3))
+    assert delaunay3_many([empty])[0].n_vertices == 0
+    emb = grid_embed(Graph(0, np.empty((0, 2), dtype=np.int64)), empty)
+    assert emb.cells.shape == (0, 2)
+
+
 # ---------------------------------------------------------------------------
 # grid embedding
 

@@ -14,7 +14,7 @@ from cloudmap.net import (LR_GAMMA, LR_STEP, WEIGHT_DECAY, TinyNet, TrainConfig,
                           _pool_relu, _pool_relu_back, adam_step, evaluate,
                           forward, init_adam_state, load_checkpoint, loss_and_grad,
                           lr_at, predict, save_checkpoint, train)
-from cloudmap.pipeline import _window_sum, make_pipeline
+from cloudmap.pipeline import Pipeline, _window_sum, make_pipeline
 
 import tinynet_oracle
 
@@ -473,6 +473,18 @@ def test_adam_rejects_t_zero():
         adam_step(net.params, zeros, init_adam_state(net), t=0, lr=cfg.lr)
 
 
+@pytest.mark.parametrize("lr", [0.0, -1.0])
+def test_adam_rejects_a_non_positive_lr(lr):
+    # TrainConfig's rule: a negative lr would climb the loss
+    net = TinyNet(1, 3, seed=0)
+    before = {k: v.copy() for k, v in net.params.items()}
+    ones = {k: np.ones_like(v) for k, v in net.params.items()}
+    with pytest.raises(ValueError, match=r"^lr must be > 0$"):
+        adam_step(net.params, ones, init_adam_state(net), t=1, lr=lr)
+    for k in before:
+        assert np.array_equal(net.params[k], before[k])
+
+
 def test_weight_decay_shrinks_without_gradient():
     params = {"w": np.array([2.0])}
     state = {"w": (np.zeros(1), np.zeros(1))}
@@ -547,6 +559,45 @@ def test_train_augments_each_sample_each_epoch_only_when_on(monkeypatch, value):
     want = [int(np.random.default_rng([8, 77, epoch, si]).integers(2 ** 31))
             for epoch in range(2) for si in range(len(dataset))] if value else []
     assert sorted(seeds) == sorted(want)
+
+
+@pytest.mark.parametrize("augmented", [False, True])
+def test_train_builds_a_pass_inputs_before_its_steps(monkeypatch, augmented):
+    # every augment and net_input call of an epoch comes before the
+    # epoch's first step; a static run maps each cloud once
+    events = []
+    original_net_input, original_step = Pipeline.net_input, net_module._loss_and_grads
+
+    def augment_spy(cloud, seed):
+        events.append(("augment", seed))
+        return augment(cloud, seed)
+
+    def net_input_spy(self, cloud):
+        events.append(("net_input",))
+        return original_net_input(self, cloud)
+
+    def step_spy(*args):
+        events.append(("step",))
+        return original_step(*args)
+
+    monkeypatch.setattr("cloudmap.net.augment", augment_spy)
+    monkeypatch.setattr(Pipeline, "net_input", net_input_spy)
+    monkeypatch.setattr(net_module, "_loss_and_grads", step_spy)
+    dataset = [synth_shape(kind, 64, seed=[s, k])
+               for k, kind in enumerate(SYNTH_KINDS[:3]) for s in range(2)]
+    n = len(dataset)
+    cfg = TrainConfig(epochs=3, batch_size=4, seed=8, augment_cfg=augmented)
+    train(make_pipeline("basic", 3, seed=0), dataset, cfg)
+    if augmented:
+        want = []
+        for epoch in range(3):
+            for si in range(n):
+                seed = int(np.random.default_rng([8, 77, epoch, si]).integers(2 ** 31))
+                want += [("augment", seed), ("net_input",)]
+            want += [("step",)] * n
+    else:
+        want = [("net_input",)] * n + [("step",)] * (3 * n)
+    assert events == want
 
 
 # ---------------------------------------------------------------------------
