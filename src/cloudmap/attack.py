@@ -46,9 +46,17 @@ def input_point_gradient(pipeline: Pipeline, cloud: PointCloud, label: int,
     or None (BLOCKED_GRADIENT) when the mapper quantizes coordinates away.
 
     Pixel and cell assignments are held fixed: only the intensity values
-    are differentiated, through the image's scatter record."""
+    are differentiated, through the image's scatter record. A given image
+    must have the grad path and the (height, width) of the pipeline's
+    mapper, and must be a map of cloud; otherwise ValueError."""
     if image is None:
         image = pipeline.map_image(cloud)
+    want = (pipeline.grad_path, pipeline.size, pipeline.size)
+    got = (image.grad_path, image.height, image.width)
+    if got != want:
+        raise ValueError(f"image is not a {pipeline.name} map: expected "
+                         "{} {}x{}, got {} {}x{}".format(want[0].value, *want[1:],
+                                                         got[0].value, *got[1:]))
     if image.grad_path is GradPath.BLOCKED:
         return None
     if image.source_key != cloud_key(cloud):

@@ -6,14 +6,23 @@ Layout is channels-last (H, W, C); conv weights are (C_in, 3, 3, C_out).
 Each convolution and its weight and input gradients are plain matmuls
 over an im2col matrix of 3x3 windows; train skips conv1's input
 gradient, which only attacks read. The padded inputs and im2col matrices
-live in one pool per thread that every call in it reuses, and no
-returned array is one of them. Each block then max-pools and applies
-ReLU, which equals ReLU before the pool, as ReLU is monotone. Pipelines
-hand the net its final input, at most 64x64 pixels; forward and
-loss_and_grad keep a downsample argument that must be 1. train builds
-all net inputs of a pass (the run, or one augmented epoch) before its steps.
+live in one pool per thread that every call in it reuses, keyed by
+layer, name and dtype, and no returned array is one of them. Each block
+then max-pools and applies ReLU, which equals ReLU before the pool, as
+ReLU is monotone. The layers compute in the dtype of the net's params, so
+a float64 net runs forward, loss_and_grad, predict, evaluate and the
+attacks in float64. Pipelines hand the net its final input, at most
+64x64 pixels; forward and loss_and_grad keep a downsample argument that
+must be 1.
+
+train builds all net inputs of a pass (the run, or one augmented epoch)
+before its steps, as float32. Each step runs on a float32 copy of the
+params, cast afresh before each batch; its gradients are added into
+float64 sums, and the params and the Adam state stay float64 (master
+weights, as in Micikevicius et al. 2018, arXiv:1710.03740).
 """
 
+import copy
 import json
 import numbers
 import os
@@ -81,15 +90,17 @@ class TinyNet:
 # ---------------------------------------------------------------------------
 # layer forward/backward pairs
 
-_POOL = threading.local()  # .buffers: {(layer, name): array}, one dict per thread
+_POOL = threading.local()  # .buffers: {(layer, name, dtype): array}, one dict per thread
 
 
-def _buffer(layer: int, key: str, shape: tuple) -> np.ndarray:
-    """This thread's buffer (layer, key), replaced by zeros unless it has shape."""
+def _buffer(layer: int, key: str, shape: tuple, dtype: np.dtype) -> np.ndarray:
+    """This thread's buffer (layer, key, dtype), replaced by zeros unless
+    it has shape; the float32 steps of train and the float64 forward of
+    evaluate and attacks keep their buffers side by side."""
     pool = vars(_POOL).setdefault("buffers", {})
-    buf = pool.get((layer, key))
+    buf = pool.get((layer, key, dtype))
     if buf is None or buf.shape != shape:
-        buf = pool[layer, key] = np.zeros(shape)
+        buf = pool[layer, key, dtype] = np.zeros(shape, dtype)
     return buf
 
 
@@ -97,12 +108,12 @@ def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, layer: int):
     """3x3 same convolution as one matmul. Row p of the im2col matrix
     holds pixel p's zero-padded window in (3, 3, C_in) order, so the copy
     that builds it moves runs of C_in contiguous values. The padded input
-    and the im2col matrix are the layer's pool buffers; only the
-    padding's interior is ever written, so its border stays zero."""
+    and the im2col matrix are the layer's pool buffers, in w's dtype; only
+    the padding's interior is ever written, so its border stays zero."""
     h, wd, ci = x.shape
-    xp = _buffer(layer, "xp", (h + 2, wd + 2, ci))
+    xp = _buffer(layer, "xp", (h + 2, wd + 2, ci), w.dtype)
     xp[1:-1, 1:-1] = x
-    cols = _buffer(layer, "cols", (h * wd, 9 * ci))
+    cols = _buffer(layer, "cols", (h * wd, 9 * ci), w.dtype)
     cols.reshape(h, wd, 3, 3, ci)[...] = \
         sliding_window_view(xp, (3, 3), axis=(0, 1)).transpose(0, 1, 3, 4, 2)
     out = cols @ w.transpose(1, 2, 0, 3).reshape(9 * ci, -1)
@@ -124,7 +135,7 @@ def _conv_back(d_out: np.ndarray, cache, input_grad: bool):
         return None, d_w, d_b
     d_cols = (d_out2d @ w.transpose(1, 2, 3, 0).reshape(9, co, ci)) \
         .reshape(3, 3, h, wd, ci)
-    d_xp = np.zeros((h + 2, wd + 2, ci))
+    d_xp = np.zeros((h + 2, wd + 2, ci), d_cols.dtype)
     for i in range(3):
         for j in range(3):
             d_xp[i:i + h, j:j + wd] += d_cols[i, j]
@@ -150,7 +161,7 @@ def _pool_relu_back(d_out: np.ndarray, cache) -> np.ndarray:
     """Each window's gradient goes to its first maximum in view order, and
     only where the pooled value is positive."""
     x, out = cache
-    d_x = np.zeros(x.shape)
+    d_x = np.zeros_like(x)
     g = d_out * (out > 0.0)  # the gradient of windows not yet routed
     for v, d_v in zip(_pool_views(x), _pool_views(d_x)):
         np.multiply(g, v == out, out=d_v)
@@ -159,11 +170,12 @@ def _pool_relu_back(d_out: np.ndarray, cache) -> np.ndarray:
 
 
 def _forward_cached(net: TinyNet, image):
-    """Logits, and each block's and the head's caches."""
-    a = np.asarray(image, dtype=np.float64)
+    """Logits, and each block's and the head's caches, in the dtype of the
+    net's params."""
+    p = net.params
+    a = np.asarray(image, dtype=p["conv1_w"].dtype)
     if a.ndim != 3 or a.shape[2] != net.c_in:
         raise ValueError(f"expected (H, W, {net.c_in}) input, got {a.shape}")
-    p = net.params
     blocks = []
     for i in (1, 2, 3):
         a, conv = _conv(a, p[f"conv{i}_w"], p[f"conv{i}_b"], i)
@@ -261,16 +273,23 @@ def check_labeled(dataset: list, num_classes: int) -> None:
         check_int("label", lab, 0)
 
 
+def _float32_inputs(pipeline, clouds) -> list:
+    return [pipeline.net_input(c).astype(np.float32) for c in clouds]
+
+
 def train(pipeline, dataset: list, cfg: TrainConfig):
-    """Train the pipeline's net on labeled clouds. The net inputs of a pass
-    are built before its steps: once, or with augmentation on, at the top of
-    every epoch from clouds augmented per sample. evaluate() never augments.
-    Returns (net, per-epoch mean loss)."""
+    """Train the pipeline's net on labeled clouds. The float32 net inputs
+    of a pass are built before its steps: once, or with augmentation on,
+    at the top of every epoch from clouds augmented per sample. Each batch
+    steps a float32 copy of the float64 params; the mean of its gradients,
+    summed in float64, goes to a float64 Adam step. evaluate() never
+    augments. Returns (net, per-epoch mean loss)."""
     net = pipeline.net
     check_labeled(dataset, net.num_classes)
     state = init_adam_state(net)
+    step_net = copy.copy(net)
     if not cfg.augment_cfg:
-        inputs = [pipeline.net_input(c) for c in dataset]
+        inputs = _float32_inputs(pipeline, dataset)
 
     history = []
     t = 0
@@ -279,15 +298,16 @@ def train(pipeline, dataset: list, cfg: TrainConfig):
         if cfg.augment_cfg:
             seeds = [int(np.random.default_rng([cfg.seed, 77, epoch, si]).integers(2 ** 31))
                      for si in range(n)]
-            inputs = [pipeline.net_input(augment(c, s)) for c, s in zip(dataset, seeds)]
+            inputs = _float32_inputs(pipeline, map(augment, dataset, seeds))
         lr = lr_at(epoch, cfg)
         order = np.random.default_rng([cfg.seed, 31, epoch]).permutation(n)
         losses = []
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
+            step_net.params = {name: p.astype(np.float32) for name, p in net.params.items()}
             acc = {name: np.zeros_like(p) for name, p in net.params.items()}
             for si in batch:
-                loss, grads, _, _ = _loss_and_grads(net, inputs[si], dataset[si].label, False)
+                loss, grads, _, _ = _loss_and_grads(step_net, inputs[si], dataset[si].label, False)
                 if not np.isfinite(loss):
                     raise RuntimeError(f"loss diverged at epoch {epoch}")
                 losses.append(loss)

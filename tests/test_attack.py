@@ -8,7 +8,7 @@ from cloudmap import net as net_module
 from cloudmap.attack import BLOCKED_GRADIENT, asr, attack_suite, fgsm, input_point_gradient
 from cloudmap.cloud import PointCloud, synth_shape
 from cloudmap.net import TrainConfig, evaluate, loss_and_grad, predict, train
-from cloudmap.pipeline import Pipeline, make_pipeline
+from cloudmap.pipeline import PIPELINE_NAMES, Pipeline, make_pipeline
 from cloudmap.project import MappedImage, remap_frozen
 
 
@@ -139,6 +139,18 @@ def test_stale_leak_map_rejected():
     moved = labeled(cloud.points + 0.01)
     with pytest.raises(ValueError):
         input_point_gradient(pipe, moved, 0, image=image)
+
+
+@pytest.mark.parametrize("name, image_name", [
+    (a, b) for a in PIPELINE_NAMES for b in PIPELINE_NAMES if a != b])
+def test_an_image_of_another_mapper_is_rejected(name, image_name):
+    # a leak image of the wrong size would be sum-pooled into a net input
+    # this pipeline never builds; a blocked one would hide a leak pipeline's gradient
+    cloud = labeled(synth_shape("sphere", 256, seed=5).points)
+    image = make_pipeline(image_name, 3, seed=0).map_image(cloud)
+    pipe = make_pipeline(name, 3, seed=0)
+    with pytest.raises(ValueError, match=f"^image is not a {name} map: expected "):
+        input_point_gradient(pipe, cloud, 0, image=image)
 
 
 def test_graphdraw_gradient_touches_every_point():

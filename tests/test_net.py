@@ -278,8 +278,17 @@ def test_loss_and_grad_matches_einsum_oracle(shape, c_in, num_classes, sparse, s
     assert_close_rel(d_input, want_d_input)
 
 
-def reference_train(pipeline, dataset, cfg):
-    """train's loop spelled out over loss_and_grad, d_input discarded."""
+def cast_net(net, dtype):
+    """A TinyNet like net whose params are copies cast to dtype."""
+    out = TinyNet(net.c_in, net.num_classes)
+    out.params = {name: p.astype(dtype) for name, p in net.params.items()}
+    return out
+
+
+def reference_train(pipeline, dataset, cfg, dtype=np.float32):
+    """train's loop spelled out over loss_and_grad, d_input discarded: each
+    batch steps a dtype copy of the params on dtype inputs, and the
+    float64 sum of its gradients goes to a float64 Adam step."""
     net = pipeline.net
     state = init_adam_state(net)
     history = []
@@ -290,14 +299,15 @@ def reference_train(pipeline, dataset, cfg):
         for start in range(0, len(dataset), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             acc = {name: np.zeros_like(p) for name, p in net.params.items()}
+            step_net = cast_net(net, dtype)
             for si in batch:
                 cloud = dataset[si]
                 if cfg.augment_cfg:
                     aug_seed = int(np.random.default_rng(
                         [cfg.seed, 77, epoch, int(si)]).integers(2 ** 31))
                     cloud = augment(cloud, aug_seed)
-                loss, grads, _ = loss_and_grad(net, pipeline.net_input(cloud),
-                                               dataset[si].label)
+                loss, grads, _ = loss_and_grad(
+                    step_net, pipeline.net_input(cloud).astype(dtype), dataset[si].label)
                 losses.append(loss)
                 for name in acc:
                     acc[name] += grads[name]
@@ -341,6 +351,88 @@ def test_train_reusing_its_buffers_equals_reference_loop(size):
     assert history == reference_train(ref, dataset, cfg)
     for pname, p in pipe.net.params.items():
         assert np.array_equal(p, ref.net.params[pname])
+
+
+def max_rel_error(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+@pytest.mark.parametrize("name", ["basic", "leaky", "graphdraw", "zbuffer"])
+def test_float32_step_gradients_are_within_1e_5_of_float64(name):
+    # train's step: a float32 copy of the params on a float32 net input
+    pipe = make_pipeline(name, 5, seed=3)
+    for i in (1, 2, 3):
+        pipe.net.params[f"conv{i}_b"] = np.random.default_rng(i).normal(0.0, 0.1, 16)
+    x = pipe.net_input(synth_shape("torus", 256, seed=[3, 4]))
+    _, want, _ = loss_and_grad(pipe.net, x, 2)
+    _, got, _, _ = net_module._loss_and_grads(
+        cast_net(pipe.net, np.float32), x.astype(np.float32), 2, False)
+    for pname in want:
+        assert got[pname].dtype == np.float32
+        assert max_rel_error(got[pname], want[pname]) < 1e-5, pname
+
+
+@pytest.mark.parametrize("name", ["basic", "leaky", "zbuffer"])
+def test_one_float32_epoch_stays_within_1e_5_of_float64_training(name):
+    # one epoch of the train_static benchmark's recipe: 8 clouds of 256
+    # points per class, batches of 8, the default lr
+    dataset = [synth_shape(kind, 256, seed=[7, 0, ci, i])
+               for ci, kind in enumerate(SYNTH_KINDS) for i in range(8)]
+    cfg = TrainConfig(epochs=1, batch_size=8, seed=7)
+    pipe = make_pipeline(name, len(SYNTH_KINDS), seed=7)
+    ref = make_pipeline(name, len(SYNTH_KINDS), seed=7)
+    train(pipe, dataset, cfg)
+    reference_train(ref, dataset, cfg, dtype=np.float64)
+    for pname, p in pipe.net.params.items():
+        assert max_rel_error(p, ref.net.params[pname]) < 1e-5, pname
+
+
+def test_train_keeps_master_params_and_adam_state_float64(monkeypatch):
+    steps = []
+    original = net_module.adam_step
+
+    def adam_spy(params, grads, state, t, lr):
+        arrays = [*params.values(), *grads.values(), *(a for ms in state.values() for a in ms)]
+        steps.append({a.dtype for a in arrays})
+        return original(params, grads, state, t, lr)
+
+    monkeypatch.setattr(net_module, "adam_step", adam_spy)
+    pipe = make_pipeline("leaky", 3, seed=0)
+    dataset = [synth_shape(kind, 64, seed=[k]) for k, kind in enumerate(SYNTH_KINDS[:3])]
+    train(pipe, dataset, TrainConfig(epochs=2, batch_size=2))
+    assert steps == [{np.dtype(np.float64)}] * 4
+    assert all(p.dtype == np.float64 for p in pipe.net.params.values())
+    x = pipe.net_input(dataset[0])
+    loss, grads, d_input = loss_and_grad(pipe.net, x, 0)
+    assert forward(pipe.net, x).dtype == np.float64
+    assert {g.dtype for g in [*grads.values(), d_input]} == {np.dtype(np.float64)}
+
+
+def test_float32_steps_and_float64_forwards_never_share_a_buffer():
+    # the pool keys each buffer by dtype: calls of both dtypes in one
+    # thread, on shapes shared and not, give the bytes of a fresh thread
+    rng = np.random.default_rng(26)
+    net = TinyNet(3, 4, seed=26)
+    for i in (1, 2, 3):
+        net.params[f"conv{i}_b"] = rng.normal(0.0, 0.1, 16)
+    net32 = cast_net(net, np.float32)
+    inputs = [rng.normal(size=(s, s, 3)) for s in (57, 57, 31, 8, 57)]
+
+    def step(x):
+        _, grads, _, logits = net_module._loss_and_grads(net32, x.astype(np.float32), 1, False)
+        return logits.tobytes() + b"".join(grads[n].tobytes() for n in sorted(grads))
+
+    calls = [(f, x) for x in inputs for f in (step, lambda x: forward(net, x).tobytes())]
+
+    def in_thread(run):
+        out = []
+        thread = threading.Thread(target=lambda: out.append(run()))
+        thread.start()
+        thread.join()
+        return out[0]
+
+    alternating = in_thread(lambda: [f(x) for f, x in calls])
+    assert alternating == [in_thread(lambda: f(x)) for f, x in calls]
 
 
 def test_loss_and_grad_results_survive_a_second_call():

@@ -12,13 +12,22 @@ split (ROADMAP.md, item 7). Standard library plus the package; run from
 anywhere:
 
     python tools/output_digest.py
+
+With --criteria it then also runs tests/test_acceptance.py under pytest,
+at one BLAS thread with this checkout's `src`, and prints the ten
+criterion lines and the sha1 of those lines:
+
+    python tools/output_digest.py --criteria
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
+import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -61,7 +70,29 @@ def run_smoke_chain(out: Path) -> None:
                 sys.exit(f"{command} --pipeline {pipeline} exited {code}")
 
 
-def main() -> None:
+def run_acceptance() -> str:
+    """pytest's output over tests/test_acceptance.py, run in a child
+    process that inherits this one's environment and imports `src`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_acceptance.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True).stdout
+
+
+def criterion_lines(output: str) -> list:
+    """The [PASS]/[FAIL] criterion lines of an acceptance run, each once,
+    in criterion order; pytest prints a line again in a failure report."""
+    lines = re.findall(r"^\[(?:PASS|FAIL)\] criterion \d+: .*$", output, re.MULTILINE)
+    return sorted(dict.fromkeys(lines), key=lambda line: int(line.split()[2][:-1]))
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--criteria", action="store_true",
+                        help="also run the acceptance criteria and print their lines' sha1")
+    args = parser.parse_args(argv)
     # before the package, and so numpy, is first imported
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     sys.path.insert(0, str(ROOT / "src"))
@@ -72,6 +103,14 @@ def main() -> None:
     for path, digest in digests:
         print(f"{digest}  {path}")
     print(f"total {total_digest(digests)} ({len(digests)} files)")
+    if args.criteria:
+        output = run_acceptance()
+        lines = criterion_lines(output)
+        if not lines:
+            sys.exit(f"the acceptance run printed no criterion line:\n{output}")
+        listing = "".join(line + "\n" for line in lines)
+        print(listing, end="")
+        print(f"criteria {hashlib.sha1(listing.encode()).hexdigest()} ({len(lines)} lines)")
 
 
 if __name__ == "__main__":
