@@ -15,7 +15,7 @@ from .net import (TinyNet, TrainConfig, adam_step, evaluate, forward,
                   save_checkpoint, train)
 from .pipeline import PIPELINE_NAMES, Pipeline, make_pipeline
 from .project import (GradPath, MappedImage, Scatter, basic_project,
-                      basic_project_leaky, cloud_key, remap_frozen)
+                      basic_project_leaky, remap_frozen)
 from .render import (AdaINParams, DEFAULT_SCENE_CONTROL, ZBufferConfig,
                      adain, adain_backward, positional_embedding, zbuffer)
 

@@ -12,7 +12,7 @@ import numpy as np
 from .cloud import PointCloud, check_real
 from .net import _loss_and_grads, check_labeled, predict
 from .pipeline import Pipeline
-from .project import GradPath, MappedImage, cloud_key
+from .project import GradPath, MappedImage
 
 
 BLOCKED_GRADIENT = None  # a blocked image's gradient: there is no link to follow
@@ -40,28 +40,31 @@ def _leak_gradient(pipeline: Pipeline, cloud: PointCloud, label: int,
     return logits, pipeline.point_gradient(cloud, image, d_input)
 
 
+def _same_map(image: MappedImage, own: MappedImage) -> bool:
+    """True when image holds own's map: the same shape and four
+    scatter-record arrays, or the same data where own has no record."""
+    if own.scatter is None:
+        return image.shape == own.shape and np.array_equal(image.data, own.data)
+    return (image.shape == own.shape and image.scatter is not None
+            and all(map(np.array_equal, image.scatter, own.scatter)))
+
+
 def input_point_gradient(pipeline: Pipeline, cloud: PointCloud, label: int,
                          image: MappedImage | None = None):
     """Gradient of the classification loss wrt every point coordinate,
     or None (BLOCKED_GRADIENT) when the mapper quantizes coordinates away.
 
-    Pixel and cell assignments are held fixed: only the intensity values
-    are differentiated, through the image's scatter record. A given image
-    must have the grad path and the (height, width) of the pipeline's
-    mapper, and must be a map of cloud; otherwise ValueError."""
-    if image is None:
-        image = pipeline.map_image(cloud)
-    want = (pipeline.grad_path, pipeline.size, pipeline.size)
-    got = (image.grad_path, image.height, image.width)
-    if got != want:
-        raise ValueError(f"image is not a {pipeline.name} map: expected "
-                         "{} {}x{}, got {} {}x{}".format(want[0].value, *want[1:],
-                                                         got[0].value, *got[1:]))
-    if image.grad_path is GradPath.BLOCKED:
+    The pipeline maps cloud itself, and the gradient goes through that
+    map. Pixel and cell assignments are held fixed: only the intensity
+    values are differentiated, through the map's scatter record. A given
+    image must equal that map; otherwise ValueError."""
+    own = pipeline.map_image(cloud)
+    if image is not None and not _same_map(image, own):
+        raise ValueError(f"image is not a {pipeline.name} map: expected this cloud's "
+                         "{}x{}x{} map at map_seed {}".format(*own.shape, pipeline.map_seed))
+    if own.grad_path is GradPath.BLOCKED:
         return None
-    if image.source_key != cloud_key(cloud):
-        raise ValueError("stale leak_map: cloud changed since it was mapped")
-    return _leak_gradient(pipeline, cloud, label, image)[1]
+    return _leak_gradient(pipeline, cloud, label, own)[1]
 
 
 @dataclass

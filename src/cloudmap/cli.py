@@ -170,9 +170,16 @@ def _class_clouds(cfg: dict, ci: int, kind: str, split_idx: int) -> list:
     n_test = min(len(files) - 1, max(1, round(ds["test_fraction"] * len(files))))
     cut = len(files) - n_test
     chosen = files[cut:] if split_idx else files[:cut]
-    return [normalize_unit(sample_surface(load_off(os.path.join(folder, fname)), ds["points"],
-                                          seed=[cfg["seed"], split_idx, ci, idx]))
-            for idx, fname in enumerate(chosen)]
+    clouds = []
+    for idx, fname in enumerate(chosen):
+        path = os.path.join(folder, fname)
+        mesh = load_off(path)  # its errors name the path already
+        try:
+            cloud = sample_surface(mesh, ds["points"], seed=[cfg["seed"], split_idx, ci, idx])
+        except ValueError as exc:  # a zero-area mesh
+            raise ValueError(f"{path}: {exc}") from None
+        clouds.append(normalize_unit(cloud))
+    return clouds
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -191,16 +198,19 @@ def _write_csv(path: str, header: list, rows) -> None:
 
 
 def cmd_dataset(cfg: dict) -> None:
-    for split_idx, split in enumerate(("train", "test")):
+    """Builds both splits' clouds before it writes a file, so a mesh that
+    cannot be sampled leaves no partial dataset."""
+    splits = {split: [(f"{kind}_{idx:04d}.xyz", ci, kind, cloud)
+                      for ci, kind in enumerate(_class_names(cfg))
+                      for idx, cloud in enumerate(_class_clouds(cfg, ci, kind, split_idx))]
+              for split_idx, split in enumerate(("train", "test"))}
+    for split, files in splits.items():
         out_dir = _dataset_dir(cfg, split)
         os.makedirs(out_dir, exist_ok=True)
-        rows = []
-        for ci, kind in enumerate(_class_names(cfg)):
-            for idx, cloud in enumerate(_class_clouds(cfg, ci, kind, split_idx)):
-                name = f"{kind}_{idx:04d}.xyz"
-                write_xyz(cloud, os.path.join(out_dir, name))
-                rows.append((name, ci, kind))
-        _write_csv(os.path.join(out_dir, "labels.csv"), ["file", "label", "kind"], rows)
+        for name, _, _, cloud in files:
+            write_xyz(cloud, os.path.join(out_dir, name))
+        _write_csv(os.path.join(out_dir, "labels.csv"), ["file", "label", "kind"],
+                   [row[:3] for row in files])
     print(f"dataset written under {os.path.join(cfg['out'], 'dataset')}")
 
 

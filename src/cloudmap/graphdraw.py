@@ -140,7 +140,7 @@ def balanced_kmeans(cloud: PointCloud, k: int = CLUSTERS, alpha: float = CLUSTER
     if n < k or k * cluster_cap(n, k, alpha) < n:
         raise ValueError(f"balanced_kmeans cannot put n={n} points into k={k} clusters "
                          f"with alpha={alpha}: it needs n >= k and k * ceil(alpha * n / k) >= n")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     centers = _kmeanspp_init(pts, k, rng)
 
     assign = np.full(n, -1, dtype=np.int64)
@@ -670,7 +670,8 @@ def draw_image(cloud: PointCloud, hierarchy: ClusterHierarchy,
     """Compose the final image: cluster i owns the pixel block of its top
     cell; member j of cluster i colors one pixel of that block with its
     encoded coordinates (t + 1) / 2. Every input point lands on exactly one
-    pixel; the links are recorded in leak_map."""
+    pixel; the links live in the image's scatter record, and leak_map is a
+    view of it."""
     k = hierarchy.k
     if len(within_embeds) != k or len(top_embed.cells) != k:
         raise ValueError("embedding does not match hierarchy")

@@ -7,7 +7,6 @@ module keys off it.
 """
 
 import functools
-import hashlib
 from enum import Enum
 from typing import NamedTuple
 
@@ -21,10 +20,6 @@ SIZE = 456  # side in pixels of the basic and leaky images
 class GradPath(Enum):
     BLOCKED = "blocked"
     COORDINATE_LEAK = "coordinate-leak"
-
-
-def cloud_key(cloud: PointCloud) -> str:
-    return hashlib.sha1(np.ascontiguousarray(cloud.points).tobytes()).hexdigest()
 
 
 class Scatter(NamedTuple):
@@ -42,9 +37,10 @@ class MappedImage:
 
     leak_map is an (L, 4) int array of (row, col, point_index, channel) links,
     present exactly when grad_path is COORDINATE_LEAK; channel k of a linked
-    pixel holds (coordinate_k + 1) / 2 of the linked point. source_key
-    fingerprints the cloud a leak_map links to, so a stale one can be
-    detected; images without a leak_map leave it None.
+    pixel holds (coordinate_k + 1) / 2 of the linked point. source_key is
+    whatever a caller of the dense constructor passes, stored as given;
+    the package never computes or reads it, and from_scatter leaves it
+    None.
 
     MappedImage(data, grad_path, leak_map, source_key) keeps the dense data
     and leak_map it is given, and its scatter is None. Sparse mappers use
@@ -74,11 +70,10 @@ class MappedImage:
         super().__setattr__(name, value)
 
     @classmethod
-    def from_scatter(cls, shape: tuple, grad_path: GradPath, scatter: Scatter,
-                     source_key: str | None) -> "MappedImage":
+    def from_scatter(cls, shape: tuple, grad_path: GradPath, scatter: Scatter) -> "MappedImage":
         """The (H, W, C) image lit only at scatter's pixels, linked on
         every channel to scatter.pts when those are given."""
-        return cls(shape, grad_path, scatter, source_key)
+        return cls(shape, grad_path, scatter)
 
     @functools.cached_property
     def data(self) -> np.ndarray:
@@ -118,8 +113,7 @@ def basic_project(cloud: PointCloud) -> MappedImage:
     rows, cols = _pixel_coords(cloud.points, SIZE)
     rows, cols = np.divmod(np.unique(rows * SIZE + cols), SIZE)
     return MappedImage.from_scatter((SIZE, SIZE, 1), GradPath.BLOCKED,
-                                    Scatter(rows, cols, np.ones((len(rows), 1)), None),
-                                    None)
+                                    Scatter(rows, cols, np.ones((len(rows), 1)), None))
 
 
 def encode(t: np.ndarray) -> np.ndarray:
@@ -137,8 +131,7 @@ def leaky_image(cloud: PointCloud, size: int, rows: np.ndarray, cols: np.ndarray
     """size x size x 3 image that lights pixel (rows[j], cols[j]) with the
     encoded point pts[j], linked on all channels; pixels must be distinct."""
     return MappedImage.from_scatter((size, size, 3), GradPath.COORDINATE_LEAK,
-                                    Scatter(rows, cols, encode(cloud.points[pts]), pts),
-                                    cloud_key(cloud))
+                                    Scatter(rows, cols, encode(cloud.points[pts]), pts))
 
 
 def basic_project_leaky(cloud: PointCloud) -> MappedImage:

@@ -92,7 +92,7 @@ class AdaINParams:
     @classmethod
     def random(cls, channels: int, control: np.ndarray = DEFAULT_SCENE_CONTROL,
                seed: int = 0) -> "AdaINParams":
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(check_int("seed", seed, 0))
         d = len(control)
         return cls(np.asarray(control, dtype=np.float64),
                    rng.normal(0.0, 0.1, (channels, d)),

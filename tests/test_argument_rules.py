@@ -11,10 +11,10 @@ import pytest
 from cloudmap import graphdraw
 from cloudmap.attack import attack_suite, fgsm
 from cloudmap.cloud import check_int, check_real, synth_shape
-from cloudmap.graphdraw import Graph, balanced_kmeans, grid_embed_many
+from cloudmap.graphdraw import Graph, balanced_kmeans, grid_embed_many, map_graphdraw
 from cloudmap.net import TinyNet, TrainConfig, adam_step, init_adam_state, lr_at
 from cloudmap.pipeline import Pipeline, make_pipeline
-from cloudmap.render import ZBufferConfig, positional_embedding
+from cloudmap.render import AdaINParams, ZBufferConfig, positional_embedding
 
 CLOUD = synth_shape("sphere", 64, seed=0)
 
@@ -40,6 +40,9 @@ ARGUMENTS = {
     "balanced_kmeans-k": ("k", check_int, lambda v: balanced_kmeans(CLOUD, k=v)),
     "balanced_kmeans-alpha": ("alpha", check_real,
                               lambda v: balanced_kmeans(CLOUD, k=4, alpha=v)),
+    "balanced_kmeans-seed": ("seed", check_int, lambda v: balanced_kmeans(CLOUD, k=4, seed=v)),
+    "map_graphdraw-seed": ("seed", check_int, lambda v: map_graphdraw(CLOUD, seed=v)),
+    "AdaINParams.random-seed": ("seed", check_int, lambda v: AdaINParams.random(2, seed=v)),
     "grid_embed_many-grid_size": ("grid_size", check_int, lambda v: grid_embed_many(
         [Graph(2, [[0, 1]])], [np.zeros((2, 3))], grid_size=v)),
     "Graph-n_vertices": ("n_vertices", check_int, lambda v: Graph(v, np.empty((0, 2)))),
@@ -85,3 +88,12 @@ def test_check_real_returns_a_python_float(value, want):
 def test_check_real_rejects_what_is_not_a_finite_number(value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         check_real("x", value)
+
+
+@pytest.mark.parametrize("case", ["balanced_kmeans-seed", "map_graphdraw-seed",
+                                  "AdaINParams.random-seed"])
+def test_a_negative_seed_is_rejected_by_name(case):
+    # numpy's own error for a negative seed names no argument
+    call = ARGUMENTS[case][2]
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got -1$"):
+        call(-1)

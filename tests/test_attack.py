@@ -29,11 +29,13 @@ def small_testset(per=3, n=96):
 # input_point_gradient
 
 def test_blocked_pipelines_return_marker():
+    cloud = labeled(np.zeros((4, 3)))
     for name in ("basic", "zbuffer"):
         pipe = make_pipeline(name, 3, seed=0)
-        g = input_point_gradient(pipe, labeled(np.zeros((4, 3))), 0)
+        g = input_point_gradient(pipe, cloud, 0)
         assert g is BLOCKED_GRADIENT
         assert g is None  # the value that already means "no link"
+        assert input_point_gradient(pipe, cloud, 0, image=pipe.map_image(cloud)) is None
 
 
 def test_single_point_gradient_is_half_net_gradient():
@@ -122,7 +124,7 @@ def test_leak_gradient_needs_the_scatter_record():
     image = pipe.map_image(cloud)
     dense = MappedImage(image.data, image.grad_path, leak_map=image.leak_map,
                         source_key=image.source_key)
-    with pytest.raises(ValueError, match="no scatter record"):
+    with pytest.raises(ValueError, match="^image is not a leaky map: expected "):
         input_point_gradient(pipe, cloud, 0, image=dense)
     d_input = np.ones_like(pipe.net_input_from_image(image))
     with pytest.raises(ValueError, match="no scatter record"):
@@ -133,12 +135,32 @@ def test_leak_gradient_needs_the_scatter_record():
 
 
 def test_stale_leak_map_rejected():
-    pipe = make_pipeline("leaky", 3, seed=0)
     cloud = labeled(synth_shape("cube", 64, seed=3).points)
-    image = pipe.map_image(cloud)
     moved = labeled(cloud.points + 0.01)
-    with pytest.raises(ValueError):
-        input_point_gradient(pipe, moved, 0, image=image)
+    for name in PIPELINE_NAMES:
+        pipe = make_pipeline(name, 3, seed=0)
+        with pytest.raises(ValueError, match=f"^image is not a {name} map: expected "):
+            input_point_gradient(pipe, moved, 0, image=pipe.map_image(cloud))
+
+
+@pytest.mark.parametrize("name", ["leaky", "graphdraw"])
+@pytest.mark.parametrize("map_seed", [0, 1])
+def test_the_pipeline_own_image_gives_the_gradient_of_no_image(name, map_seed):
+    cloud = labeled(synth_shape("sphere", 256, seed=5).points)
+    pipe = make_pipeline(name, 3, seed=0, map_seed=map_seed)
+    got = input_point_gradient(pipe, cloud, 0, image=pipe.map_image(cloud))
+    assert got.tobytes() == input_point_gradient(pipe, cloud, 0).tobytes()
+
+
+def test_a_graphdraw_image_of_another_map_seed_is_rejected():
+    # both maps have graphdraw's grad path and size and link every point;
+    # only the layout differs, and the pipeline never draws the other one
+    cloud = labeled(synth_shape("sphere", 256, seed=5).points)
+    pipe = make_pipeline("graphdraw", 3, seed=0, map_seed=0)
+    image = make_pipeline("graphdraw", 3, seed=0, map_seed=1).map_image(cloud)
+    want = "image is not a graphdraw map: expected this cloud's 256x256x3 map at map_seed 0"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        input_point_gradient(pipe, cloud, 0, image=image)
 
 
 @pytest.mark.parametrize("name, image_name", [

@@ -510,6 +510,19 @@ def test_off_dir_split_keeps_a_train_mesh_per_class(tmp_path, capsys):
     assert main(["train", "--config", path, "--out", out]) == 0, capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["m0.off", "m1.off"])  # b's train mesh, b's test mesh
+def test_zero_area_mesh_is_named_and_leaves_no_dataset(tmp_path, capsys, bad):
+    # a's train cloud sorts first: a dataset written split by split would
+    # already hold it, and with a bad test mesh the whole train split
+    path = write_off_dir(tmp_path, {"a": 2, "b": 2})
+    mesh = tmp_path / "meshes" / "b" / bad
+    mesh.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n")  # collinear
+    out = tmp_path / "out"
+    assert main(["dataset", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {mesh}: mesh has zero total surface area\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("layout", [{}, {"a": ["notes.txt"]}, {"a": [], "b": ["m0.obj"]}])
 def test_off_dir_without_meshes_is_a_config_error(tmp_path, capsys, layout):
     root = tmp_path / "meshes"

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cloudmap.cloud import SYNTH_KINDS, PointCloud, augment, synth_shape
-from cloudmap.pipeline import PIPELINE_NAMES, make_pipeline
+from cloudmap.pipeline import make_pipeline
 from cloudmap.project import (SIZE, GradPath, MappedImage, Scatter, basic_project,
-                              basic_project_leaky, cloud_key, remap_frozen)
+                              basic_project_leaky, remap_frozen)
 from cloudmap.render import zbuffer
 
 
@@ -210,7 +210,7 @@ def test_scatter_record_needs_a_shape():
     record = Scatter(np.array([0]), np.array([1]), np.ones((1, 1)), None)
     with pytest.raises(TypeError, match="takes its shape as data"):
         MappedImage(np.zeros((4, 4, 1)), GradPath.BLOCKED, record)
-    image = MappedImage.from_scatter((4, 4, 1), GradPath.BLOCKED, record, None)
+    image = MappedImage.from_scatter((4, 4, 1), GradPath.BLOCKED, record)
     assert (image.height, image.width, image.channels) == (4, 4, 1)
     assert image.data[0, 1, 0] == 1.0 and image.data.sum() == 1.0
 
@@ -222,23 +222,6 @@ def test_dense_image_keeps_the_arrays_it_is_given():
     assert image.scatter is None and image.source_key == "key"
     blocked = MappedImage(data, GradPath.BLOCKED)
     assert blocked.data is data and blocked.leak_map is None and blocked.scatter is None
-
-
-def test_cloud_key_tracks_content():
-    a = synth_shape("cube", 128, 6)
-    b = a.with_points(a.points + 0.001)
-    assert cloud_key(a) != cloud_key(b)
-    assert cloud_key(a) == cloud_key(PointCloud(a.points.copy()))
-
-
-def test_only_leaking_images_fingerprint_their_cloud():
-    # the fingerprint guards a leak_map; blocked images have none to guard
-    cloud = synth_shape("cone", 128, 9)
-    want = {"basic": None, "zbuffer": None,
-            "leaky": cloud_key(cloud), "graphdraw": cloud_key(cloud)}
-    assert set(want) == set(PIPELINE_NAMES)
-    for name, key in want.items():
-        assert make_pipeline(name, 3).map_image(cloud).source_key == key, name
 
 
 def test_remap_frozen_tracks_coordinates():
